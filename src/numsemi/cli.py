@@ -224,15 +224,15 @@ def _apery_summary(ap: core.AperySet, full: bool) -> dict:
     return summary
 
 
-def _arranged_minimal(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal generators ordered by first occurrence in the given list."""
-    minimal = set(core.NumericalSemigroup(entries).generators)
+def _arranged_minimal(entries: tuple[int, ...], minimal: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal generators ``minimal`` of ``entries``, ordered by first
+    occurrence in ``entries``."""
     return tuple(g for g in entries if g in minimal)
 
 
 def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     semigroup = core.NumericalSemigroup(gens)
-    arrangement = _arranged_minimal(gens)
+    arrangement = _arranged_minimal(gens, semigroup.generators)
     record: dict = {
         "schema": SCHEMA_VERSION,
         "input": {"kind": "gens", "generators": list(gens)},
@@ -540,7 +540,8 @@ def _table_row(family: str, n: int) -> dict:
         fd = None
         if cls is not figurate.TelescopicClass.NEITHER:
             # the raw five-term sequence may carry redundant generators
-            verdict = telescopic.is_free(_arranged_minimal(ordered))
+            minimal = core.NumericalSemigroup(ordered).generators
+            verdict = telescopic.is_free(_arranged_minimal(ordered, minimal))
             fd = verdict if verdict else None
         row = {
             "n": n,
@@ -645,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--triangular", type=int, metavar="N")
     group.add_argument("--tetrahedral", type=int, metavar="N")
     p_an.add_argument("--full", action="store_true", help="dump all Apery elements")
-    p_an.add_argument("--betti-bound", type=int, default=None, help="override the Betti scan bound")
+    p_an.add_argument("--betti-bound", type=int, default=None, help="report only Betti elements up to this value")
     _add_common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 

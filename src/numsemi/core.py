@@ -10,7 +10,7 @@ are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi.arith import checked_int64, gcd_list, validated_generators
@@ -23,7 +23,8 @@ APERY_TABLE_LIMIT = 200_000
 # Hard ceiling on materializing a full Apery set (one int per residue).
 APERY_MATERIALIZE_LIMIT = 10_000_000
 
-# The Betti scan is a desk-scale oracle, not a general algorithm.
+# betti_elements refuses larger embedding dimensions; the Apery-set method
+# has no such limit, but lifting it changes what ``analyze`` reports.
 BETTI_ORACLE_MAX_EMBEDDING_DIM = 6
 
 
@@ -220,10 +221,15 @@ class NumericalSemigroup:
     def betti_elements(self, bound: int | None = None) -> set[int]:
         """Elements whose factorizations split into >= 2 support classes.
 
-        Desk-scale scan up to ``frobenius + two largest generators`` unless
-        an explicit bound is given.  The default bound is provably safe for
-        free semigroups and is validated against the free closed form on
-        every family instance the test suite touches.
+        No factorization is enumerated.  The support classes of s match the
+        connected components of the graph G_s on the generators: n_i is a
+        vertex when s - n_i is in S, and n_i, n_j are joined when
+        s - n_i - n_j is in S.  A component without n_1 has a vertex n_i
+        with s - n_i - n_1 outside S, so every Betti element is w + n_i for
+        some w in Ap(S, n_1) and i >= 2, and at most F + n_1 + n_e.  Only
+        those candidates are tested, each with O(e^2) Apery-table lookups.
+        The default bound F + n_{e-1} + n_e therefore misses no Betti
+        element of any semigroup; an explicit bound caps the result.
         """
         e = self.embedding_dimension
         if e > BETTI_ORACLE_MAX_EMBEDDING_DIM:
@@ -232,19 +238,39 @@ class NumericalSemigroup:
             )
         if e == 1:
             return set()
+        gens = self.generators
         if bound is None:
-            bound = self.frobenius() + self.generators[-1] + self.generators[-2]
+            bound = self.frobenius() + gens[-1] + gens[-2]
         checked_int64(bound, "Betti scan bound")
+        m = gens[0]
+        # both factorizations of a Betti element have length >= 2
+        if bound < 2 * m:
+            return set()
+        ap = self._smallest_apery()
+
+        def member(x: int) -> bool:
+            return x >= 0 and x >= ap[x % m]
+
         out: set[int] = set()
-        for s in range(1, bound + 1):
-            if not self.contains(s):
-                continue
-            facts = _kernels.factorizations_of(s, self.generators)
-            if len(facts) < 2:
-                continue
-            if self.rs_partition(s).class_count() >= 2:
-                out.add(s)
+        for w in ap:
+            for g in gens[1:]:
+                s = w + g
+                if s <= bound and s not in out and _support_graph_split(s, gens, member):
+                    out.add(s)
         return out
+
+
+def _support_graph_split(s: int, gens: tuple[int, ...], member: Callable[[int], bool]) -> bool:
+    """True iff the graph G_s described in ``betti_elements`` is disconnected."""
+    rest = [g for g in gens if member(s - g)]
+    stack = [rest.pop()]
+    while stack and rest:
+        a = stack.pop()
+        joined = [b for b in rest if member(s - a - b)]
+        for b in joined:
+            rest.remove(b)
+        stack.extend(joined)
+    return bool(rest)
 
 
 def _minimalize(seq: tuple[int, ...]) -> tuple[int, ...]:

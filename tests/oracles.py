@@ -69,3 +69,25 @@ def naive_factorizations(gens: Sequence[int], s: int) -> set[tuple[int, ...]]:
         for combo in itertools.product(*ranges)
         if sum(c * g for c, g in zip(combo, gens)) == s
     }
+
+
+def naive_betti(gens: Sequence[int], bound: int) -> set[int]:
+    """Every s in 1..bound whose factorizations over the minimal generators
+    ``gens`` fall into >= 2 classes, where two factorizations share a class
+    iff a chain of factorizations with pairwise overlapping supports joins
+    them."""
+    out: set[int] = set()
+    for s in range(1, bound + 1):
+        remaining = list(naive_factorizations(gens, s))
+        if len(remaining) < 2:
+            continue
+        frontier = [remaining.pop()]
+        while frontier and remaining:
+            u = frontier.pop()
+            linked = [v for v in remaining if any(a and b for a, b in zip(u, v))]
+            for v in linked:
+                remaining.remove(v)
+            frontier.extend(linked)
+        if remaining:
+            out.add(s)
+    return out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numsemi import _kernels
 from numsemi.core import (
     AperySet,
     NumericalSemigroup,
@@ -18,7 +19,7 @@ from numsemi.core import (
 )
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
-from oracles import naive_apery, naive_factorizations, naive_frobenius
+from oracles import naive_apery, naive_betti, naive_factorizations, naive_frobenius
 
 
 def test_minimal_generators_examples():
@@ -161,6 +162,83 @@ def test_betti_oracle_embedding_dimension_guard():
     assert S.embedding_dimension == 7
     with pytest.raises(ValueError):
         S.betti_elements()
+
+
+def _random_semigroup(rng: random.Random, e: int, top: int) -> NumericalSemigroup:
+    """A random semigroup of embedding dimension e with generators <= top."""
+    while True:
+        gens = rng.sample(range(2, top + 1), e)
+        if math.gcd(*gens) == 1:
+            S = NumericalSemigroup(gens)
+            if S.embedding_dimension == e:
+                return S
+
+
+def test_betti_elements_match_naive_scan():
+    rng = random.Random(0xBE77)
+    # the cartesian-product oracle grows like s**e: fewer, smaller draws at large e
+    for e, draws, top in ((2, 3, 60), (3, 3, 60), (4, 3, 60), (5, 2, 60), (6, 2, 40)):
+        for _ in range(draws):
+            S = _random_semigroup(rng, e, top)
+            gens = S.generators
+            default = naive_frobenius(gens) + gens[-2] + gens[-1]
+            above = default + rng.randint(1, gens[-1])
+            expected = naive_betti(gens, above)
+            assert expected and max(expected) <= default, gens
+            assert S.betti_elements() == expected, gens
+            bounds = [
+                default,
+                above,
+                rng.randint(1, default - 1),
+                max(expected),
+                max(expected) - 1,
+                min(expected),
+                min(expected) - 1,
+                0,
+                -rng.randint(1, 100),
+            ]
+            for bound in bounds:
+                assert S.betti_elements(bound) == {b for b in expected if b <= bound}, (gens, bound)
+
+
+def test_betti_elements_enumerate_no_factorizations(monkeypatch):
+    examples = [
+        (NumericalSemigroup((6, 10, 15)), {30}),
+        (NumericalSemigroup((10, 15, 21)), {30, 105}),
+        (NumericalSemigroup((1009, 1013, 1019, 1021, 1031)), None),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("betti_elements enumerated factorizations")
+
+    calls = {"apery_levels": 0}
+    apery_levels = _kernels.apery_levels
+
+    def counted_apery_levels(*args):
+        calls["apery_levels"] += 1
+        return apery_levels(*args)
+
+    monkeypatch.setattr(_kernels, "factorizations_of", refuse)
+    monkeypatch.setattr(NumericalSemigroup, "rs_partition", refuse)
+    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    for S, expected in examples:
+        before = calls["apery_levels"]
+        betti = S.betti_elements()
+        assert calls["apery_levels"] - before == 1
+        if expected is not None:
+            assert betti == expected
+        else:
+            # 1009 + 1031 == 1019 + 1021
+            assert min(betti) == 2040
+            assert all(S.contains(b) for b in betti)
+
+
+def test_betti_elements_below_twice_the_multiplicity_is_empty():
+    # every Betti element is >= 2 * n_1, so no Apery table is built here
+    S = NumericalSemigroup((10_000_000_019, 10_000_000_033))
+    assert S.betti_elements(2 * 10_000_000_019 - 1) == set()
+    with pytest.raises(ValueError, match="desk-scale"):
+        S.betti_elements(2 * 10_000_000_019)
 
 
 def test_embedding_dimension_examples():
