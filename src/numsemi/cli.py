@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from numsemi import core, figurate, telescopic
@@ -278,10 +277,11 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         direction = figurate.tetrahedral_direction(n)
         closed_frobenius = figurate.frobenius_tetrahedral(n)
         structural = n >= 4
+    semigroup = core.NumericalSemigroup(gens)
     record: dict = {
         "schema": SCHEMA_VERSION,
         "input": {"kind": kind, "n": n, "generators": list(gens)},
-        "minimal_generators": list(core.NumericalSemigroup(gens).generators),
+        "minimal_generators": list(semigroup.generators),
         "embedding_dimension": figurate.figurate_embedding_dimension(kind, n),
         "direction": direction.value,
     }
@@ -310,7 +310,6 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
     else:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate._REDUCED_EDIM_MSG
-        semigroup = core.NumericalSemigroup(gens)
         record["betti"] = sorted(semigroup.betti_elements(args.betti_bound))
         record["apery"] = _apery_summary(semigroup.apery(), args.full)
         methods["oracle"] = semigroup.frobenius()
@@ -349,7 +348,8 @@ def _check_triangular(n: int) -> str | None:
     gens = figurate.triangular_generators(n)
     closed = figurate.frobenius_triangular(n)
     cubic = figurate.baker_a(n)
-    oracle = core.frobenius_oracle(gens)
+    semigroup = core.NumericalSemigroup(gens)
+    oracle = semigroup.frobenius()
     reduction = telescopic.brauer_shockley_frobenius(gens)
     if not closed == cubic == oracle == reduction:
         return f"frobenius mismatch: closed={closed} cubic={cubic} oracle={oracle} reduction={reduction}"
@@ -360,17 +360,15 @@ def _check_triangular(n: int) -> str | None:
     if n < 3:
         return None
     form = figurate.triangular_cstar(n)
-    generic_cstars, _ = telescopic.cstar_constants(form.arrangement)
-    if form.cstars != generic_cstars:
-        return f"c* mismatch: closed={form.cstars} generic={generic_cstars}"
     fd = telescopic.is_free(form.arrangement)
+    if form.cstars != fd.cstars:
+        return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
     if not fd:
         return "freeness product test failed"
     figurate.triangular_presentation(n)  # validates evaluation equality on construction
     closed_betti = figurate.triangular_betti(n)
     if closed_betti != telescopic.free_betti(fd):
         return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
-    semigroup = core.NumericalSemigroup(gens)
     ap_closed = figurate.triangular_apery(n)
     if ap_closed != semigroup.apery(ap_closed.anchor):
         return "Apery mismatch between closed form and oracle"
@@ -384,7 +382,8 @@ def _check_triangular(n: int) -> str | None:
 def _check_tetrahedral(n: int) -> str | None:
     gens = figurate.tetrahedral_generators(n)
     closed = figurate.frobenius_tetrahedral(n)
-    oracle = core.frobenius_oracle(gens)
+    semigroup = core.NumericalSemigroup(gens)
+    oracle = semigroup.frobenius()
     reduction = telescopic.brauer_shockley_frobenius(gens)
     if not closed == oracle == reduction:
         return f"frobenius mismatch: closed={closed} oracle={oracle} reduction={reduction}"
@@ -396,17 +395,15 @@ def _check_tetrahedral(n: int) -> str | None:
     if n < 4:
         return None
     form = figurate.tetrahedral_cstar(n)
-    generic_cstars, _ = telescopic.cstar_constants(form.arrangement)
-    if form.cstars != generic_cstars:
-        return f"c* mismatch: closed={form.cstars} generic={generic_cstars}"
     fd = telescopic.is_free(form.arrangement)
+    if form.cstars != fd.cstars:
+        return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
     if not fd:
         return "freeness product test failed"
     figurate.tetrahedral_presentation(n)
     closed_betti = figurate.tetrahedral_betti(n)
     if closed_betti != telescopic.free_betti(fd):
         return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
-    semigroup = core.NumericalSemigroup(gens)
     ap_closed = figurate.tetrahedral_apery(n)
     if ap_closed != semigroup.apery(ap_closed.anchor):
         return "Apery mismatch between closed form and oracle"
@@ -481,15 +478,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--range a..b is required for this family")
     lo, hi = _parse_range(args.range)
     check = _VERIFY_CHECKS[args.family]
-    ns = list(range(lo, hi + 1))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            details = list(pool.map(check, ns))
-    else:
-        details = [check(n) for n in ns]
     records = []
     first_failure: tuple[int, str] | None = None
-    for n, detail in zip(ns, details):
+    for n in range(lo, hi + 1):
+        detail = check(n)
         ok = detail is None
         records.append(
             {"schema": SCHEMA_VERSION, "family": args.family, "n": n, "pass": ok, "detail": detail or ""}
@@ -572,12 +564,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.range is None:
             raise ValueError("--range a..b is required for this family")
         lo, hi = _parse_range(args.range)
-        ns = list(range(lo, hi + 1))
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                rows = list(pool.map(lambda n: _table_row(args.family, n), ns))
-        else:
-            rows = [_table_row(args.family, n) for n in ns]
+        rows = [_table_row(args.family, n) for n in range(lo, hi + 1)]
     if args.format == "json":
         payload = json.dumps(
             {"schema": SCHEMA_VERSION, "family": args.family, "rows": rows}, sort_keys=True, indent=2
@@ -657,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("triangular", "tetrahedral", "choose4", "choose5perms", "arith"),
     )
     p_ver.add_argument("--range", default=None, metavar="A..B")
-    p_ver.add_argument("--threads", type=int, default=1)
     _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -666,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--range", default=None, metavar="A..B")
     p_tab.add_argument("--n", type=int, default=None, help="run start (family arith)")
     p_tab.add_argument("--k", default=None, metavar="A..B", help="run length range (family arith)")
-    p_tab.add_argument("--threads", type=int, default=1)
     _add_common(p_tab)
     p_tab.set_defaults(func=cmd_table)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from numsemi.arith import binomial, checked_int64, require_positive, tetrahedral, triangular
 from numsemi.core import AperySet
 from numsemi.errors import InvariantViolation
-from numsemi.telescopic import NotTelescopic, Presentation, is_telescopic
+from numsemi.telescopic import NotTelescopic, Presentation, apery_box, is_telescopic
 
 
 class Direction(enum.Enum):
@@ -414,101 +414,17 @@ def tetrahedral_betti(n: int) -> set[int]:
     return {checked_int64(v, "Betti element") for v in values}
 
 
-def _coefficient_ranges_match_cstars(bounds: tuple[int, ...], cstars_reversed_to_bounds: tuple[int, ...]) -> None:
-    # The printed coefficient ranges must be exactly c*_j - 1.
-    for bound, cstar in zip(bounds, cstars_reversed_to_bounds):
-        if bound != cstar - 1:
-            raise InvariantViolation(f"Apery coefficient bound {bound} != c* - 1 = {cstar - 1}")
-
-
-def triangular_apery_elements(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Closed-form Apery data in parameter order.
-
-    Returns (anchor, coefficient bounds (a_max, b_max), elements listed as
-    a*T_{n+1} + b*T_{n+2} with a outermost).
-    """
-    require_positive(n, "n")
-    if n < 3:
-        raise ValueError(_REDUCED_EDIM_MSG)
-    t0, t1, t2 = triangular_generators(n)
-    if n % 2:
-        a_max, b_max = n - 1, _exact_div(n - 1, 2, "Apery range")
-    else:
-        a_max, b_max = _exact_div(n - 2, 2, "Apery range"), n
-    _coefficient_ranges_match_cstars((a_max, b_max), triangular_cstar(n).cstars)
-    elements = tuple(
-        a * t1 + b * t2 for a in range(a_max + 1) for b in range(b_max + 1)
-    )
-    return t0, (a_max, b_max), elements
-
-
 def triangular_apery(n: int) -> AperySet:
-    """Closed-form Apery set of T_n, re-indexed by residue."""
-    anchor, _, elements = triangular_apery_elements(n)
-    return _reindex_apery(anchor, elements)
-
-
-def tetrahedral_apery_elements(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Closed-form Apery data in parameter order.
-
-    The anchor is TH_n for n mod 6 in {0..3} and TH_{n+3} for {4, 5}; the
-    three coefficients run over the remaining generators in ascending
-    index order, outermost first.
-    """
-    require_positive(n, "n")
-    if n < 4:
-        raise ValueError(_REDUCED_EDIM_MSG)
-    t0, t1, t2, t3 = tetrahedral_generators(n)
-    r = n % 6
-    div = _exact_div
-    if r == 0:
-        anchor, coeff_gens = t0, (t1, t2, t3)
-        bounds = (div(n - 3, 3, "Apery range"), n, div(n, 2, "Apery range"))
-    elif r == 1:
-        anchor, coeff_gens = t0, (t1, t2, t3)
-        bounds = (n - 1, div(n - 1, 2, "Apery range"), div(n - 1, 3, "Apery range"))
-    elif r == 2:
-        anchor, coeff_gens = t0, (t1, t2, t3)
-        bounds = (n - 1, div(n - 2, 3, "Apery range"), div(n, 2, "Apery range"))
-    elif r == 3:
-        anchor, coeff_gens = t0, (t1, t2, t3)
-        bounds = (div(n - 3, 3, "Apery range"), div(n - 1, 2, "Apery range"), n + 1)
-    elif r == 4:
-        anchor, coeff_gens = t3, (t0, t1, t2)
-        bounds = (n + 2, div(n + 2, 2, "Apery range"), div(n + 2, 3, "Apery range"))
-    else:
-        anchor, coeff_gens = t3, (t0, t1, t2)
-        bounds = (div(n + 1, 2, "Apery range"), div(n + 1, 3, "Apery range"), n + 4)
-    cstars = tetrahedral_cstar(n).cstars
-    if r in (0, 1, 2, 3):
-        _coefficient_ranges_match_cstars(bounds, cstars)
-    else:
-        # reversed arrangement: c*_2 governs the latest ascending generator
-        _coefficient_ranges_match_cstars(bounds, cstars[::-1])
-    elements = tuple(
-        a * coeff_gens[0] + b * coeff_gens[1] + c * coeff_gens[2]
-        for a in range(bounds[0] + 1)
-        for b in range(bounds[1] + 1)
-        for c in range(bounds[2] + 1)
-    )
-    return anchor, bounds, elements
+    """Closed-form Apery set of T_n: the box of the closed-form c*."""
+    form = triangular_cstar(n)
+    return apery_box(form.arrangement, form.cstars)
 
 
 def tetrahedral_apery(n: int) -> AperySet:
-    """Closed-form Apery set over the family anchor, re-indexed by residue."""
-    anchor, _, elements = tetrahedral_apery_elements(n)
-    return _reindex_apery(anchor, elements)
-
-
-def _reindex_apery(anchor: int, elements: tuple[int, ...]) -> AperySet:
-    by_residue = [-1] * anchor
-    for el in elements:
-        checked_int64(el, "Apery element")
-        res = el % anchor
-        if by_residue[res] >= 0:
-            raise InvariantViolation(f"duplicate Apery residue {res}")
-        by_residue[res] = el
-    return AperySet(anchor, tuple(by_residue))
+    """Closed-form Apery set over the family anchor (TH_n for n mod 6 in
+    {0..3}, TH_{n+3} for {4, 5}): the box of the closed-form c*."""
+    form = tetrahedral_cstar(n)
+    return apery_box(form.arrangement, form.cstars)
 
 
 def choose4_family(n: int) -> tuple[tuple[int, ...], TelescopicClass]:

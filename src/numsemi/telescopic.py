@@ -250,23 +250,34 @@ def free_frobenius(fd: FreeDecomposition) -> int:
     return checked_int64(total - fd.arrangement[0], "free Frobenius number")
 
 
-def free_apery(fd: FreeDecomposition) -> AperySet:
-    """Apery set of n_1: all sums over n_2..n_e with coefficient j below
-    c*_j.  Exactly n_1 distinct residues must appear."""
-    anchor = fd.arrangement[0]
+def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
+    """Apery set of n_1 over a free arrangement: the box of all sums over
+    n_2..n_e with the coefficient of n_j below c*_j (Rosales &
+    García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
+    to n_1, and the n_1 sums must land in distinct residues mod n_1."""
+    anchor = arrangement[0]
     if anchor > APERY_MATERIALIZE_LIMIT:
-        raise ValueError(f"free Apery set of size {anchor} exceeds the desk-scale limit")
-    by_residue = [-1] * anchor
+        raise ValueError(
+            f"Apery set of size {anchor} exceeds the desk-scale limit ({APERY_MATERIALIZE_LIMIT})"
+        )
+    if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
+        raise InvariantViolation(f"c* {tuple(cstars)} do not multiply to the anchor {anchor}")
+    checked_int64(sum((c - 1) * n for c, n in zip(cstars, arrangement[1:])), "free Apery element")
     combos = [0]
-    for c, n in zip(fd.cstars, fd.arrangement[1:]):
+    for c, n in zip(cstars, arrangement[1:]):
         combos = [base + lam * n for base in combos for lam in range(c)]
+    by_residue = [-1] * anchor
     for element in combos:
-        checked_int64(element, "free Apery element")
         r = element % anchor
         if by_residue[r] >= 0:
             raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
         by_residue[r] = element
     return AperySet(anchor, tuple(by_residue))
+
+
+def free_apery(fd: FreeDecomposition) -> AperySet:
+    """Apery set of n_1 of a free semigroup: the box of its c*."""
+    return apery_box(fd.arrangement, fd.cstars)
 
 
 def free_presentation(fd: FreeDecomposition) -> Presentation:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from numsemi import cli, figurate
+from numsemi import _kernels, cli, figurate
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -156,12 +156,26 @@ def test_verify_requires_range(capsys):
     assert code == 2
 
 
-def test_verify_threads_match_serial(capsys):
-    code, serial = run(capsys, "verify", "--family", "tetrahedral", "--range", "4..8")
-    assert code == 0
-    code, threaded = run(capsys, "verify", "--family", "tetrahedral", "--range", "4..8", "--threads", "4")
-    assert code == 0
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "check, n, max_calls",
+    [
+        (cli._check_tetrahedral, 9, 4),  # forward: anchor TH_n is the oracle's modulus
+        (cli._check_tetrahedral, 10, 5),  # reverse: anchor TH_{n+3} needs its own table
+        (cli._check_triangular, 9, 3),
+    ],
+)
+def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_calls):
+    seen = []
+    apery_levels = _kernels.apery_levels
+
+    def counted_apery_levels(m, gens):
+        seen.append((m, tuple(gens)))
+        return apery_levels(m, gens)
+
+    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    assert check(n) is None
+    assert len(seen) == len(set(seen)), seen
+    assert len(seen) <= max_calls, seen
 
 
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
@@ -169,6 +183,15 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--family", "triangular", "--range", "3..3")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_analyze_above_the_materialize_limit_refuses(capsys):
+    # the closed-form Apery box of TH_2000 would hold about 1.3e9 entries
+    code = cli.main(["analyze", "--tetrahedral", "2000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "desk-scale" in captured.err
+    assert captured.out == ""
 
 
 def test_table_csv(capsys):

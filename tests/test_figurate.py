@@ -22,7 +22,6 @@ from numsemi.figurate import (
     frobenius_tetrahedral,
     frobenius_triangular,
     tetrahedral_apery,
-    tetrahedral_apery_elements,
     tetrahedral_betti,
     tetrahedral_cstar,
     tetrahedral_direction,
@@ -30,7 +29,6 @@ from numsemi.figurate import (
     tetrahedral_pair_gcd,
     tetrahedral_presentation,
     triangular_apery,
-    triangular_apery_elements,
     triangular_betti,
     triangular_cstar,
     triangular_direction,
@@ -215,10 +213,42 @@ def test_betti_closed_vs_oracle_small():
         assert tetrahedral_betti(n) == NumericalSemigroup(tetrahedral_generators(n)).betti_elements()
 
 
+# The coefficient ranges printed in the paper for the Apery box, one per
+# class of n, listed in ascending generator order with the outermost
+# coefficient first.  Each range must equal c* - 1 for the generator it
+# runs over; in the reversed tetrahedral arrangement (n mod 6 in {4, 5})
+# ascending order is the reverse of c* order.  Both sides are linear in n
+# within a class, so two points per class already prove the identity.
+PRINTED_TRIANGULAR_RANGES = {
+    0: lambda n: ((n - 2) // 2, n),
+    1: lambda n: (n - 1, (n - 1) // 2),
+}
+PRINTED_TETRAHEDRAL_RANGES = {
+    0: lambda n: ((n - 3) // 3, n, n // 2),
+    1: lambda n: (n - 1, (n - 1) // 2, (n - 1) // 3),
+    2: lambda n: (n - 1, (n - 2) // 3, n // 2),
+    3: lambda n: ((n - 3) // 3, (n - 1) // 2, n + 1),
+    4: lambda n: (n + 2, (n + 2) // 2, (n + 2) // 3),
+    5: lambda n: ((n + 1) // 2, (n + 1) // 3, n + 4),
+}
+
+
+def test_printed_apery_ranges_are_cstar_minus_one():
+    for n in range(3, 61):
+        cstars = triangular_cstar(n).cstars
+        assert PRINTED_TRIANGULAR_RANGES[n % 2](n) == tuple(c - 1 for c in cstars), n
+    for n in range(4, 61):
+        cstars = tetrahedral_cstar(n).cstars
+        if n % 6 in (4, 5):
+            cstars = cstars[::-1]
+        assert PRINTED_TETRAHEDRAL_RANGES[n % 6](n) == tuple(c - 1 for c in cstars), n
+
+
 def test_triangular_apery_examples():
-    anchor, bounds, elements = triangular_apery_elements(3)
-    assert anchor == 6 and bounds == (2, 1)
-    assert set(elements) == {a * 10 + b * 15 for a in range(3) for b in range(2)}
+    ap3 = triangular_apery(3)
+    assert ap3.anchor == 6
+    assert PRINTED_TRIANGULAR_RANGES[1](3) == (2, 1)
+    assert set(ap3) == {a * 10 + b * 15 for a in range(3) for b in range(2)}
     # even case: the largest element pins the Frobenius number
     ap4 = triangular_apery(4)
     assert ap4.max_element() == 99
@@ -226,11 +256,13 @@ def test_triangular_apery_examples():
 
 
 def test_tetrahedral_apery_example():
-    anchor, bounds, elements = tetrahedral_apery_elements(4)
-    assert anchor == 84
-    assert bounds == (6, 3, 2)
-    assert len(elements) == 84
     ap = tetrahedral_apery(4)
+    assert ap.anchor == 84
+    assert PRINTED_TETRAHEDRAL_RANGES[4](4) == (6, 3, 2)
+    assert len(set(ap)) == 84
+    assert set(ap) == {
+        a * 20 + b * 35 + c * 56 for a in range(7) for b in range(4) for c in range(3)
+    }
     assert ap.frobenius() == 253
 
 

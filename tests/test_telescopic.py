@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from numsemi.core import NumericalSemigroup, evaluate, frobenius_oracle
-from numsemi.errors import NotCoprimeError
+from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
+from numsemi.errors import InvariantViolation, NotCoprimeError
 from numsemi.figurate import tetrahedral_generators, triangular_generators
 from numsemi.telescopic import (
     FreeDecomposition,
     NotFree,
     NotTelescopic,
+    apery_box,
     brauer_shockley_frobenius,
     cstar_constants,
     divide_chain,
@@ -142,6 +143,32 @@ def test_free_apery_examples():
     assert ap == NumericalSemigroup((6, 10, 15)).apery(6)
     assert free_apery(is_free((3, 10))).by_residue == (0, 10, 20)
     assert free_apery(is_free((1,))).by_residue == (0,)
+
+
+def test_apery_box_refuses_cstars_whose_product_is_not_the_anchor():
+    # without the product check the box {0, 4} would leave residue 2 of 3
+    # empty, filed as -1 (which is 2 mod 3)
+    with pytest.raises(InvariantViolation, match="multiply"):
+        apery_box((3, 4), (2,))
+    with pytest.raises(InvariantViolation, match="multiply"):
+        apery_box((6, 10, 15), (3,))
+
+
+def test_apery_box_refuses_duplicate_residues():
+    with pytest.raises(InvariantViolation, match="duplicate Apery residue"):
+        apery_box((4, 2), (4,))
+
+
+def test_apery_box_refuses_anchors_above_the_materialize_limit():
+    anchor = APERY_MATERIALIZE_LIMIT + 1
+    with pytest.raises(ValueError, match="desk-scale"):
+        apery_box((anchor, 2), (anchor,))
+
+
+def test_free_apery_overflow():
+    fd = FreeDecomposition((3, 2**63 - 4), (3,), ((2**63 - 4,),))
+    with pytest.raises(OverflowError):
+        free_apery(fd)
 
 
 def test_free_presentation_examples():
