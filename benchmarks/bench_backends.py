@@ -32,6 +32,13 @@ def bench_apery(impl, repeat: int) -> float:
     return best_of(repeat, impl.apery_levels, gens[0], gens)
 
 
+def bench_apery_largest(impl, repeat: int) -> float:
+    # verify's oracle table is taken mod TH_{n+3}, the largest generator,
+    # whenever the tetrahedral arrangement is reversed (n mod 6 in {4, 5}).
+    gens = tetrahedral_generators(80)  # largest generator 98770
+    return best_of(repeat, impl.apery_levels, gens[-1], gens)
+
+
 def bench_factorizations(impl, repeat: int) -> float:
     gens = tetrahedral_generators(8)  # (120, 165, 220, 286)
 
@@ -59,6 +66,7 @@ def bench_representation(impl, repeat: int) -> float:
 
 WORKLOADS = [
     ("apery_levels (anchor 37820, 4 generators)", bench_apery),
+    ("apery_levels (m = n_4 = 98770, 4 generators)", bench_apery_largest),
     ("factorizations_of (s = 1..2000, 4 generators)", bench_factorizations),
     ("min_representation (sparse sweep, 5 generators)", bench_representation),
 ]

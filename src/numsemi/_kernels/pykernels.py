@@ -1,16 +1,19 @@
 """Pure-Python kernels for the hot inner loops.
 
 Same contracts as the compiled twin in ``_speedups.pyx``; the package
-selects between them at import time.  Vectors are enumerated in one
-canonical order everywhere: ascending by coefficient of the last
-generator, then the second-to-last, and so on (the first generator's
-coefficient is forced by divisibility).  The first vector in that order
-is the canonical witness returned by ``min_representation``.
+selects between them at import time.  ``apery_levels`` here is the
+round-robin algorithm of Böcker & Lipták (Algorithmica 2007), O(e * m)
+with no heap, while the compiled twin still runs a heap Dijkstra: the
+two must return identical lists and raise identical errors.  Vectors
+are enumerated in one canonical order everywhere: ascending by
+coefficient of the last generator, then the second-to-last, and so on
+(the first generator's coefficient is forced by divisibility).  The
+first vector in that order is the canonical witness returned by
+``min_representation``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Sequence
 
@@ -20,9 +23,21 @@ _INT64_MAX = 2**63 - 1
 def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     """Least monoid element in each residue class mod ``m``.
 
-    Shortest-path relaxation on the residue graph: nodes 0..m-1, one arc
-    r -> (r+g) mod m of weight g per generator g.  Requires every class
-    to be reachable (holds whenever gcd(gens) == 1).
+    Shortest paths on the residue graph (nodes 0..m-1, one arc
+    r -> (r+g) mod m of weight g per generator g) by the round-robin
+    algorithm of Böcker & Lipták, "A fast and simple algorithm for the
+    money changing problem", Algorithmica 48 (2007).  Generators are
+    added one at a time in ascending order.  Generator g splits Z_m into
+    gcd(m, g) cycles of step g; starting each cycle at its least entry
+    (which g cannot improve) and relaxing once around it leaves every
+    entry least over the generators added so far.  Cost O(e * m), no
+    heap.  The compiled twin still runs Dijkstra with a heap; both must
+    return identical lists and raise identical errors.
+
+    Requires every class to be reachable (holds whenever gcd(gens) == 1).
+    Raises ``OverflowError`` when an entry plus the largest arc leaves
+    the signed 64-bit range, naming the residue of the least such entry,
+    the first one Dijkstra would meet.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -34,22 +49,46 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     if uniq and uniq[-1] > _INT64_MAX:
         raise OverflowError("generator too large for the 64-bit kernel domain")
     arcs = [g for g in uniq if g % m != 0]
-    dist: list[int] = [-1] * m
-    dist[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d != dist[r]:
-            continue
-        for g in arcs:
-            nd = d + g
-            if nd > _INT64_MAX:
-                raise OverflowError(f"Apery element exceeds the 64-bit range near residue {r}")
-            nr = (r + g) % m
-            if dist[nr] < 0 or nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    if any(d < 0 for d in dist):
+    if not arcs:
+        if m > 1:
+            raise ValueError("unreachable residue class (generators not coprime)")
+        return [0]
+    # A least entry is a path of at most m - 1 arcs, so it stays below this.
+    unset = m * arcs[-1]
+    dist = [unset] * m
+    # The first generator reaches only the cycle through 0.
+    g = arcs[0]
+    for k in range(m // math.gcd(m, g)):
+        dist[k * g % m] = k * g
+    for g in arcs[1:]:
+        cycles = math.gcd(m, g)
+        step = g % m
+        for p in range(cycles):
+            # A generator coprime to m walks the whole table: take its
+            # minimum in place rather than copy it.
+            v = min(dist[p::cycles]) if cycles > 1 else min(dist)
+            if v == unset:
+                continue
+            # Every entry is congruent to its residue, so v sits at v % m.
+            r = v % m
+            for _ in range(m // cycles - 1):
+                r += step
+                if r >= m:
+                    r -= m
+                v += g
+                w = dist[r]
+                if w < v:
+                    v = w
+                else:
+                    dist[r] = v
+    limit = _INT64_MAX - arcs[-1]
+    if max(dist) > limit:
+        over = [d for d in dist if limit < d < unset]
+        if over:
+            raise OverflowError(
+                f"Apery element exceeds the 64-bit range near residue {min(over) % m}"
+            )
+    if unset in dist:
         raise ValueError("unreachable residue class (generators not coprime)")
     return dist
 

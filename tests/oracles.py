@@ -4,13 +4,17 @@ Deliberately different algorithms from the package: reachability by
 forward boolean sieve (the package relaxes a residue graph), frobenius by
 downward scan with a self-certifying run of consecutive representable
 values, factorizations by full cartesian product (the package uses a
-pruned DFS).  Keep these dumb; they are the ground truth.
+pruned DFS), Apery tables by heap Dijkstra (the pure-Python kernel runs
+the round-robin algorithm).  Keep these dumb; they are the ground truth.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Sequence
+
+_INT64_MAX = 2**63 - 1
 
 
 def reachable_table(gens: Sequence[int], limit: int) -> bytearray:
@@ -91,3 +95,38 @@ def naive_betti(gens: Sequence[int], bound: int) -> set[int]:
         if remaining:
             out.add(s)
     return out
+
+
+def dijkstra_apery(m: int, gens: Sequence[int]) -> list[int]:
+    """Least monoid element in each residue class mod ``m``, by heap
+    Dijkstra on the residue graph: the pure-Python kernel before it became
+    a round robin, kept with its validation and error messages so the
+    kernel's contract, overflow residue included, can be compared."""
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    if m > _INT64_MAX:
+        raise OverflowError("modulus too large for the 64-bit kernel domain")
+    uniq = sorted(set(gens))
+    if uniq and uniq[0] < 1:
+        raise ValueError("generators must be positive")
+    if uniq and uniq[-1] > _INT64_MAX:
+        raise OverflowError("generator too large for the 64-bit kernel domain")
+    arcs = [g for g in uniq if g % m != 0]
+    dist: list[int] = [-1] * m
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d != dist[r]:
+            continue
+        for g in arcs:
+            nd = d + g
+            if nd > _INT64_MAX:
+                raise OverflowError(f"Apery element exceeds the 64-bit range near residue {r}")
+            nr = (r + g) % m
+            if dist[nr] < 0 or nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    if any(d < 0 for d in dist):
+        raise ValueError("unreachable residue class (generators not coprime)")
+    return dist

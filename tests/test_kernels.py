@@ -1,5 +1,6 @@
 """Backend parity: the compiled kernels must be indistinguishable from the
-pure-Python fallback."""
+pure-Python fallback.  The pure-Python Apery kernel is also checked
+against the heap Dijkstra it replaced and against a brute-force sweep."""
 
 from __future__ import annotations
 
@@ -11,7 +12,15 @@ import sys
 
 import pytest
 
-from numsemi._kernels import BACKEND, available_backends
+from numsemi._kernels import BACKEND, available_backends, pykernels
+from numsemi.figurate import (
+    tetrahedral_cstar,
+    tetrahedral_generators,
+    triangular_cstar,
+    triangular_generators,
+)
+
+from oracles import dijkstra_apery, naive_apery
 
 BACKENDS = available_backends()
 
@@ -73,8 +82,8 @@ def test_apery_parity():
         if math.gcd(*gens) != 1:
             continue
         cases += 1
-        m = gens[0]
-        assert py.apery_levels(m, gens) == cy.apery_levels(m, gens), gens
+        for m in (gens[0], gens[-1], gens[0] + gens[1]):
+            assert py.apery_levels(m, gens) == cy.apery_levels(m, gens), (m, gens)
 
 
 def test_canonical_enumeration_order():
@@ -83,17 +92,63 @@ def test_canonical_enumeration_order():
         assert impl.min_representation(30, (6, 10)) == (5, 0)
 
 
-def test_apery_rejects_unreachable_residues():
+def test_apery_trivial_modulus():
     for impl in BACKENDS.values():
-        with pytest.raises(ValueError):
-            impl.apery_levels(4, (6, 10))
+        assert impl.apery_levels(1, ()) == [0]
+
+
+def test_apery_rejects_unreachable_residues():
+    # (4, (2**61 + 2,)): residues 1 and 3 are unreachable, and no entry
+    # overflows.
+    for impl in BACKENDS.values():
+        for m, gens in ((4, (6, 10)), (4, ()), (3, (3, 6)), (4, (2**61 + 2,))):
+            with pytest.raises(ValueError, match="unreachable residue class"):
+                impl.apery_levels(m, gens)
 
 
 def test_apery_overflow_guard():
+    # The residue named is that of the least entry whose sum with the
+    # largest arc overflows: the first one Dijkstra meets.
     big = 2**62
     for impl in BACKENDS.values():
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="near residue 4$"):
             impl.apery_levels(5, (big, big + 1))
+        with pytest.raises(OverflowError, match="near residue 1$"):
+            impl.apery_levels(2, (2, big + 1))
+        # Entry plus largest arc: 2**63 overflows, 2**63 - 2 does not.
+        with pytest.raises(OverflowError, match="near residue 1$"):
+            impl.apery_levels(2, (big - 1, big + 1))
+        assert impl.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
+
+
+def test_round_robin_matches_heap_dijkstra_on_verify_moduli():
+    # verify builds the oracle table mod n_1 and mod the free arrangement's
+    # anchor (TH_{n+3} when the tetrahedral arrangement is reversed).
+    families = [(triangular_generators(n), triangular_cstar(n)) for n in range(3, 61)]
+    families += [(tetrahedral_generators(n), tetrahedral_cstar(n)) for n in range(4, 31)]
+    for gens, form in families:
+        for m in {gens[0], form.arrangement[0]}:
+            assert pykernels.apery_levels(m, gens) == dijkstra_apery(m, gens), (m, gens)
+
+
+def test_round_robin_matches_naive_sweep():
+    rng = random.Random(505)
+    cases = 0
+    while cases < 150:
+        gens = sorted(rng.sample(range(2, 120), rng.randint(2, 5)))
+        if math.gcd(*gens) != 1:
+            continue
+        cases += 1
+        # A multiple of 6 shares a factor with any even generator or multiple
+        # of 3, which then splits Z_m into several cycles.
+        moduli = {gens[-1], gens[0] + gens[1], 6 * rng.randint(2, 15)}
+        for m in moduli:
+            # Multiples of m and repeated generators add no arc.
+            padded = gens + [m * rng.randint(1, 3), rng.choice(gens)]
+            rng.shuffle(padded)
+            expected = naive_apery(gens, m)
+            assert pykernels.apery_levels(m, gens) == expected, (m, gens)
+            assert pykernels.apery_levels(m, padded) == expected, (m, padded)
 
 
 def test_kernel_input_domain():
