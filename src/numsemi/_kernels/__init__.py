@@ -1,41 +1,23 @@
-"""Kernel backend selection.
+"""The hot inner loops, re-exported from ``pykernels``.
 
-The compiled extension is preferred when it imported cleanly; the
-pure-Python twin is the fallback.  Set ``NUMSEMI_PURE_PYTHON=1`` to force
-the fallback (useful for benchmarking and debugging).
+``BACKEND`` names the kernel implementation; it is always ``"python"``.
 """
 
 from __future__ import annotations
 
-import os
+from numsemi._kernels.pykernels import (
+    apery_levels,
+    factorizations_of,
+    is_representable,
+    min_representation,
+)
 
-from numsemi._kernels import pykernels
+BACKEND = "python"
 
-if os.environ.get("NUMSEMI_PURE_PYTHON") == "1":
-    _backend = pykernels
-    BACKEND = "python"
-else:
-    try:
-        from numsemi._kernels import _speedups as _backend  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        _backend = pykernels
-        BACKEND = "python"
-
-apery_levels = _backend.apery_levels
-min_representation = _backend.min_representation
-is_representable = _backend.is_representable
-factorizations_of = _backend.factorizations_of
-
-
-def available_backends() -> dict[str, object]:
-    """Importable kernel modules keyed by name (for benchmarks and parity tests)."""
-    found: dict[str, object] = {"python": pykernels}
-    try:
-        from numsemi._kernels import _speedups
-
-        found["cython"] = _speedups
-    except ImportError:
-        pass
-    return found
+__all__ = [
+    "BACKEND",
+    "apery_levels",
+    "factorizations_of",
+    "is_representable",
+    "min_representation",
+]

@@ -1,15 +1,11 @@
 """Pure-Python kernels for the hot inner loops.
 
-Same contracts as the compiled twin in ``_speedups.pyx``; the package
-selects between them at import time.  ``apery_levels`` here is the
-round-robin algorithm of Böcker & Lipták (Algorithmica 2007), O(e * m)
-with no heap, while the compiled twin still runs a heap Dijkstra: the
-two must return identical lists and raise identical errors.  Vectors
-are enumerated in one canonical order everywhere: ascending by
-coefficient of the last generator, then the second-to-last, and so on
-(the first generator's coefficient is forced by divisibility).  The
-first vector in that order is the canonical witness returned by
-``min_representation``.
+``apery_levels`` is the round-robin algorithm of Böcker & Lipták
+(Algorithmica 2007), O(e * m) with no heap.  Vectors are enumerated in
+one canonical order everywhere: ascending by coefficient of the last
+generator, then the second-to-last, and so on (the first generator's
+coefficient is forced by divisibility).  The first vector in that order
+is the canonical witness returned by ``min_representation``.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     gcd(m, g) cycles of step g; starting each cycle at its least entry
     (which g cannot improve) and relaxing once around it leaves every
     entry least over the generators added so far.  Cost O(e * m), no
-    heap.  The compiled twin still runs Dijkstra with a heap; both must
-    return identical lists and raise identical errors.
+    heap.
 
     Requires every class to be reachable (holds whenever gcd(gens) == 1).
     Raises ``OverflowError`` when an entry plus the largest arc leaves
@@ -112,6 +107,8 @@ def min_representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
     First solution in the canonical enumeration order, i.e. the one with
     the smallest coefficients on the latest generators.
     """
+    if not gens:
+        raise ValueError("generators must be non-empty")
     if x < 0:
         return None
     if x > _INT64_MAX:
@@ -144,6 +141,8 @@ def is_representable(x: int, gens: Sequence[int]) -> bool:
 
 def factorizations_of(x: int, gens: Sequence[int]) -> list[tuple[int, ...]]:
     """All representations of ``x`` over ``gens`` in canonical order."""
+    if not gens:
+        raise ValueError("generators must be non-empty")
     if x < 0:
         return []
     if x > _INT64_MAX:
