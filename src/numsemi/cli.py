@@ -223,15 +223,9 @@ def _apery_summary(ap: core.AperySet, full: bool) -> dict:
     return summary
 
 
-def _arranged_minimal(entries: tuple[int, ...], minimal: tuple[int, ...]) -> tuple[int, ...]:
-    """The minimal generators ``minimal`` of ``entries``, ordered by first
-    occurrence in ``entries``."""
-    return tuple(g for g in entries if g in minimal)
-
-
 def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     semigroup = core.NumericalSemigroup(gens)
-    arrangement = _arranged_minimal(gens, semigroup.generators)
+    arrangement = telescopic.arranged_minimal(gens, semigroup.generators)
     record: dict = {
         "schema": SCHEMA_VERSION,
         "input": {"kind": "gens", "generators": list(gens)},
@@ -533,7 +527,7 @@ def _table_row(family: str, n: int) -> dict:
         if cls is not figurate.TelescopicClass.NEITHER:
             # the raw five-term sequence may carry redundant generators
             minimal = core.NumericalSemigroup(ordered).generators
-            verdict = telescopic.is_free(_arranged_minimal(ordered, minimal))
+            verdict = telescopic.is_free(telescopic.arranged_minimal(ordered, minimal))
             fd = verdict if verdict else None
         row = {
             "n": n,

@@ -5,6 +5,11 @@ membership, Apery/Frobenius/Betti oracles, factorization enumeration and
 shared-support class analysis.  All routines are exact and deterministic
 (sorted generators, one canonical vector enumeration order) so outputs
 are byte-stable across runs.
+
+``NumericalSemigroup`` is the one place that decides how membership is
+answered: from the Apery table of the smallest generator up to the
+desk-scale limit ``APERY_MATERIALIZE_LIMIT``, and by the coefficient DFS
+only above it, where no table may be built.
 """
 
 from __future__ import annotations
@@ -16,16 +21,20 @@ from numsemi import _kernels
 from numsemi.arith import checked_int64, gcd_list, validated_generators
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
-# Membership answers come from an Apery table over the smallest generator
-# when it fits; beyond this a one-shot bounded coefficient search is used.
-APERY_TABLE_LIMIT = 200_000
-
-# Hard ceiling on materializing a full Apery set (one int per residue).
+# Largest Apery set (one int per residue) the package materializes.
 APERY_MATERIALIZE_LIMIT = 10_000_000
 
 # betti_elements refuses larger embedding dimensions; the Apery-set method
 # has no such limit, but lifting it changes what ``analyze`` reports.
 BETTI_ORACLE_MAX_EMBEDDING_DIM = 6
+
+
+def require_desk_scale(size: int) -> None:
+    """Refuse an Apery set of more than ``APERY_MATERIALIZE_LIMIT`` elements."""
+    if size > APERY_MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"Apery set of size {size} exceeds the desk-scale limit ({APERY_MATERIALIZE_LIMIT})"
+        )
 
 
 def evaluate(vector: Sequence[int], gens: Sequence[int]) -> int:
@@ -133,26 +142,23 @@ class NumericalSemigroup:
     def _smallest_apery(self) -> list[int]:
         if self._apery_table is None:
             m = self.generators[0]
-            if m > APERY_MATERIALIZE_LIMIT:
-                raise ValueError(
-                    f"Apery set of size {m} exceeds the desk-scale limit "
-                    f"({APERY_MATERIALIZE_LIMIT})"
-                )
+            require_desk_scale(m)
             self._apery_table = _kernels.apery_levels(m, self.generators)
         return self._apery_table
 
     def contains(self, x: int) -> bool:
-        """Membership test; 0 is always in, negatives never are."""
-        if x < 0:
-            return False
-        if x == 0:
-            return True
+        """Membership test; 0 is always in, negatives never are.
+
+        Answered from the Apery table of the smallest generator, built once.
+        Only above the desk-scale limit, where no table may be built, does
+        each call run the coefficient DFS instead.
+        """
+        if x <= 0:
+            return x == 0
         m = self.generators[0]
-        if m == 1:
-            return True
-        if m <= APERY_TABLE_LIMIT:
-            return x >= self._smallest_apery()[x % m]
-        return _kernels.is_representable(x, self.generators)
+        if m > APERY_MATERIALIZE_LIMIT:
+            return _kernels.is_representable(x, self.generators)
+        return x >= self._smallest_apery()[x % m]
 
     def apery(self, m: int | None = None) -> AperySet:
         """Apery set of ``m`` (default: the smallest generator).
@@ -163,10 +169,7 @@ class NumericalSemigroup:
             m = self.generators[0]
         if m < 1:
             raise ValueError(f"Apery anchor must be >= 1, got {m}")
-        if m > APERY_MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"Apery set of size {m} exceeds the desk-scale limit ({APERY_MATERIALIZE_LIMIT})"
-            )
+        require_desk_scale(m)
         if not self.contains(m):
             raise ValueError(f"{m} is not an element of {self!r}")
         if m == self.generators[0]:

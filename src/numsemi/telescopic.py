@@ -15,11 +15,11 @@ from typing import Sequence
 from numsemi import _kernels
 from numsemi.arith import checked_int64, gcd_list, validated_generators
 from numsemi.core import (
-    APERY_MATERIALIZE_LIMIT,
-    APERY_TABLE_LIMIT,
     AperySet,
     NumericalSemigroup,
+    _minimalize,
     evaluate,
+    require_desk_scale,
 )
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
@@ -158,38 +158,34 @@ def is_telescopic(seq: Sequence[int]) -> TelescopicCertificate | NotTelescopic:
     return TelescopicCertificate(entries, chain, tuple(witnesses))
 
 
+def arranged_minimal(entries: Sequence[int], minimal: Sequence[int]) -> tuple[int, ...]:
+    """The generators ``minimal`` in the order they take in ``entries``; a
+    repeated generator stands at its last occurrence."""
+    last = {g: i for i, g in enumerate(entries) if g in minimal}
+    return tuple(sorted(last, key=last.__getitem__))
+
+
 def _assert_minimal_arrangement(entries: tuple[int, ...]) -> None:
     if len(set(entries)) != len(entries):
         raise ValueError("arrangement is not a minimal generating set (repeated entry)")
-    for idx, g in enumerate(entries):
-        if len(entries) == 1:
-            break
-        others = entries[:idx] + entries[idx + 1 :]
-        if _kernels.is_representable(g, others):
+    minimal = _minimalize(entries)
+    for g in entries:
+        if g not in minimal:
             raise ValueError(f"arrangement is not a minimal generating set ({g} is redundant)")
 
 
 class _PrefixMembership:
-    """Membership in the monoid generated by a fixed prefix, answered via
-    the scaled prefix's Apery table when it fits."""
+    """Membership in the monoid generated by a fixed prefix: the multiples
+    of its gcd d whose quotient lies in the semigroup of the prefix scaled
+    by d."""
 
     def __init__(self, prefix: tuple[int, ...]) -> None:
-        self.prefix = prefix
         self.d = gcd_list(prefix)
         self.scaled = tuple(p // self.d for p in prefix)
-        m = min(self.scaled)
-        self.modulus = m
-        self.table = _kernels.apery_levels(m, self.scaled) if m <= APERY_TABLE_LIMIT else None
+        self.semigroup = NumericalSemigroup(self.scaled)
 
     def __contains__(self, value: int) -> bool:
-        if value < 0:
-            return False
-        if value % self.d:
-            return False
-        w = value // self.d
-        if self.table is not None:
-            return w >= self.table[w % self.modulus]
-        return _kernels.is_representable(w, self.scaled)
+        return value >= 0 and value % self.d == 0 and self.semigroup.contains(value // self.d)
 
     def witness(self, value: int) -> tuple[int, ...]:
         # Coefficients over the scaled prefix reproduce value over the
@@ -201,42 +197,40 @@ class _PrefixMembership:
 
 
 def cstar_constants(
-    arrangement: Sequence[int], ceiling: int | None = None
+    arrangement: Sequence[int],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """For each position i >= 2, the least k >= 1 with k * n_i in the
     monoid generated by the prefix, plus the canonical witness vector.
 
-    ``ceiling`` bounds the incremental search (default n_1, which always
-    suffices because n_1 * n_i is a multiple of n_1).
+    The search stops by k = n_1, because n_1 * n_i is a multiple of n_1.
+    Each k * n_i is answered by ``NumericalSemigroup.contains`` on the
+    scaled prefix, a lookup in its Apery table up to the desk-scale
+    limit; the witness is one DFS call per position.
     """
     entries = validated_generators(arrangement)
     d = gcd_list(entries)
     if d != 1:
         raise NotCoprimeError(d)
     _assert_minimal_arrangement(entries)
-    limit = entries[0] if ceiling is None else ceiling
     cstars: list[int] = []
     reps: list[tuple[int, ...]] = []
     for i in range(2, len(entries) + 1):
-        prefix = entries[: i - 1]
-        member = _PrefixMembership(prefix)
+        member = _PrefixMembership(entries[: i - 1])
         n_i = entries[i - 1]
-        for k in range(1, limit + 1):
-            value = checked_int64(k * n_i, "c* search value")
-            if value in member:
-                cstars.append(k)
-                reps.append(member.witness(value))
-                break
-        else:
-            raise ValueError(f"c* search for position {i} exceeded the ceiling {limit}")
+        k = 1
+        while (value := checked_int64(k * n_i, "c* search value")) not in member:
+            k += 1
+        cstars.append(k)
+        reps.append(member.witness(value))
     return tuple(cstars), tuple(reps)
 
 
-def is_free(arrangement: Sequence[int], ceiling: int | None = None) -> FreeDecomposition | NotFree:
+def is_free(arrangement: Sequence[int]) -> FreeDecomposition | NotFree:
     """Freeness test for the given arrangement: n_1 must equal the product
-    of the c* constants."""
+    of the c* constants, which come from Apery-table lookups (see
+    ``cstar_constants``)."""
     entries = validated_generators(arrangement)
-    cstars, reps = cstar_constants(entries, ceiling)
+    cstars, reps = cstar_constants(entries)
     product = math.prod(cstars)
     if product != entries[0]:
         return NotFree(entries, cstars, product)
@@ -256,10 +250,7 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
     García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
     to n_1, and the n_1 sums must land in distinct residues mod n_1."""
     anchor = arrangement[0]
-    if anchor > APERY_MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"Apery set of size {anchor} exceeds the desk-scale limit ({APERY_MATERIALIZE_LIMIT})"
-        )
+    require_desk_scale(anchor)
     if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
         raise InvariantViolation(f"c* {tuple(cstars)} do not multiply to the anchor {anchor}")
     checked_int64(sum((c - 1) * n for c, n in zip(cstars, arrangement[1:])), "free Apery element")
@@ -317,7 +308,8 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
 
     One step: with d the gcd of all entries but the last,
     F(a_1, ..., a_n) = d * F(a_1/d, ..., a_{n-1}/d, a_n) + (d - 1) a_n.
-    Redundant generators are dropped (largest first) after each step.  The
+    Before each step the redundant generators are dropped; the kept ones
+    keep their input order, a repeated one at its last occurrence.  The
     reversed arrangement is tried when the forward gcd is 1, which covers
     every telescopic arrangement in either direction; if neither direction
     reduces and nothing is droppable, the Apery oracle finishes the job.
@@ -332,23 +324,8 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
     return _brauer_shockley(entries)
 
 
-def _drop_redundant(entries: tuple[int, ...]) -> tuple[int, ...]:
-    work = list(entries)
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        for g in sorted(set(work), reverse=True):
-            idx = work.index(g)
-            others = tuple(work[:idx] + work[idx + 1 :])
-            if _kernels.is_representable(g, others):
-                work = list(others)
-                changed = True
-                break
-    return tuple(work)
-
-
 def _brauer_shockley(entries: tuple[int, ...]) -> int:
-    work = _drop_redundant(entries)
+    work = arranged_minimal(entries, _minimalize(entries))
     if len(work) == 1:
         # dropping preserves the overall gcd, so the survivor is 1
         if work[0] != 1:

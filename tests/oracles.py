@@ -5,13 +5,15 @@ forward boolean sieve (the package relaxes a residue graph), frobenius by
 downward scan with a self-certifying run of consecutive representable
 values, factorizations by full cartesian product (the package uses a
 pruned DFS), Apery tables by heap Dijkstra (the pure-Python kernel runs
-the round-robin algorithm).  Keep these dumb; they are the ground truth.
+the round-robin algorithm), c* constants by lookups in those tables.
+Keep these dumb; they are the ground truth.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Sequence
 
 _INT64_MAX = 2**63 - 1
@@ -130,3 +132,21 @@ def dijkstra_apery(m: int, gens: Sequence[int]) -> list[int]:
     if any(d < 0 for d in dist):
         raise ValueError("unreachable residue class (generators not coprime)")
     return dist
+
+
+def dijkstra_cstars(arrangement: Sequence[int]) -> list[int]:
+    """c*_i for i >= 2: the least k >= 1 with k * n_i in the monoid of
+    n_1..n_{i-1}, looked up in the heap-Dijkstra table of that prefix
+    divided by its gcd."""
+    out = []
+    for i in range(1, len(arrangement)):
+        d = math.gcd(*arrangement[:i])
+        scaled = [a // d for a in arrangement[:i]]
+        m = min(scaled)
+        table = dijkstra_apery(m, scaled)
+        n_i = arrangement[i]
+        k = 1
+        while k * n_i % d or k * n_i // d < table[k * n_i // d % m]:
+            k += 1
+        out.append(k)
+    return out

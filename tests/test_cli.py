@@ -243,3 +243,18 @@ def test_perms_full_json(capsys):
     record = json.loads(out)
     assert len(record["outcomes"]) == 720
     assert all(o["failing_index"] is not None for o in record["outcomes"])
+
+
+def test_analyze_above_two_hundred_thousand_answers_from_tables(capsys):
+    # n_1 above 2e5: every c* lookup (k up to 37,502 here) must come from a
+    # table, since a coefficient DFS per k runs for minutes
+    gens = "300007,300011,300017,300023"
+    code, out = run(capsys, "analyze", "--gens", gens, "--betti-bound", "0", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["agreement"] is True
+    code, out = run(capsys, "frobenius", "--gens", gens, "--cross-check", "--format", "json")
+    assert code == 0
+    cross = json.loads(out)
+    assert cross["agreement"] is True
+    assert record["frobenius"] == cross["frobenius"] == 11251462526

@@ -15,6 +15,7 @@ from numsemi.telescopic import (
     NotFree,
     NotTelescopic,
     apery_box,
+    arranged_minimal,
     brauer_shockley_frobenius,
     cstar_constants,
     divide_chain,
@@ -26,6 +27,8 @@ from numsemi.telescopic import (
     is_telescopic,
     johnson_reduce,
 )
+
+from oracles import dijkstra_cstars
 
 
 def test_divide_chain_examples():
@@ -102,9 +105,13 @@ def test_cstar_requires_minimal_arrangement():
         cstar_constants((4, 6))
 
 
-def test_cstar_ceiling():
-    with pytest.raises(ValueError, match="ceiling"):
-        cstar_constants((5, 6, 8), ceiling=3)
+def test_cstar_is_least_above_two_hundred_thousand():
+    # n_1 above 2e5: the c* lookups must come from tables, since a
+    # coefficient DFS per k does not finish in a minute
+    entries = (200003, 200009, 200017)
+    verdict = is_free(entries)
+    assert isinstance(verdict, NotFree)
+    assert list(verdict.cstars) == dijkstra_cstars(entries)
 
 
 def test_is_free_examples():
@@ -245,6 +252,30 @@ def test_brauer_shockley_matches_oracle_randomized():
             continue
         cases += 1
         assert brauer_shockley_frobenius(gens) == frobenius_oracle(gens), gens
+    # unsorted, with repeats and with multiples and sums of other entries
+    cases = 0
+    while cases < 200:
+        base = rng.sample(range(2, 201), rng.randint(2, 4))
+        extra = [rng.choice(base) for _ in range(rng.randint(1, 2))]
+        extra.append(rng.randint(1, 3) * rng.choice(base) + rng.choice(base))
+        gens = tuple(rng.sample(base + extra, len(base) + len(extra)))
+        if math.gcd(*gens) != 1:
+            continue
+        cases += 1
+        assert brauer_shockley_frobenius(gens) == frobenius_oracle(gens), gens
+
+
+def test_arranged_minimal_keeps_each_generator_at_its_last_occurrence():
+    # the order picks the reduction path of brauer_shockley_frobenius
+    cases = {
+        (5, 3, 5): (3, 5),
+        (10, 6, 15, 6): (10, 15, 6),
+        (9, 4, 6, 4, 9): (6, 4, 9),
+        (12, 8, 3, 20, 8): (3, 8),
+    }
+    for entries, expected in cases.items():
+        minimal = NumericalSemigroup(entries).generators
+        assert arranged_minimal(entries, minimal) == expected, entries
 
 
 def test_brauer_shockley_handles_generator_one():
