@@ -225,6 +225,8 @@ def _apery_summary(ap: core.AperySet, full: bool) -> dict:
 
 def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     semigroup = core.NumericalSemigroup(gens)
+    # Every record needs Ap(S, n_1): refuse before the c* search
+    core.require_desk_scale(semigroup.multiplicity)
     arrangement = telescopic.arranged_minimal(gens, semigroup.generators)
     record: dict = {
         "schema": SCHEMA_VERSION,

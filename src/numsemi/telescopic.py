@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from numsemi import _kernels
-from numsemi.arith import checked_int64, gcd_list, validated_generators
+from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
 from numsemi.core import (
     AperySet,
     NumericalSemigroup,
@@ -130,13 +130,25 @@ def divide_chain(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def _divide_walk(
+    entries: tuple[int, ...], chain: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """For each position i = 2..e of ``entries`` with divide chain
+    ``chain``: n_i, the prefix n_1..n_{i-1} divided by d_{i-1}, the target
+    t_i = n_i / d_i and the quotient q_i = d_{i-1} / d_i."""
+    for i in range(1, len(entries)):
+        n_i, d_prev, d_i = entries[i], chain[i - 1], chain[i]
+        yield n_i, tuple(a // d_prev for a in entries[:i]), n_i // d_i, d_prev // d_i
+
+
 def is_telescopic(seq: Sequence[int]) -> TelescopicCertificate | NotTelescopic:
     """Check the telescopic condition, producing witnesses or the first
     failing position.
 
-    Every entry i >= 2 must satisfy: entry_i / d_i is representable over
-    the prefix entries scaled by d_{i-1}.  Repeated entries are rejected
-    (their telescopic status is not meaningful here).
+    Every entry i >= 2 must satisfy: t_i = entry_i / d_i is representable
+    over the prefix entries scaled by d_{i-1}, one coefficient DFS per
+    position.  Repeated entries are rejected (their telescopic status is
+    not meaningful here).
     """
     entries = validated_generators(seq)
     if len(entries) < 2:
@@ -147,10 +159,7 @@ def is_telescopic(seq: Sequence[int]) -> TelescopicCertificate | NotTelescopic:
     if chain[-1] != 1:
         raise NotCoprimeError(chain[-1])
     witnesses = []
-    for i in range(2, len(entries) + 1):
-        d_prev = chain[i - 2]
-        scaled_prefix = tuple(a // d_prev for a in entries[: i - 1])
-        target = entries[i - 1] // chain[i - 1]
+    for i, (_, scaled_prefix, target, _) in enumerate(_divide_walk(entries, chain), start=2):
         witness = _kernels.min_representation(target, scaled_prefix)
         if witness is None:
             return NotTelescopic(entries, i, target)
@@ -174,54 +183,39 @@ def _assert_minimal_arrangement(entries: tuple[int, ...]) -> None:
             raise ValueError(f"arrangement is not a minimal generating set ({g} is redundant)")
 
 
-class _PrefixMembership:
-    """Membership in the monoid generated by a fixed prefix: the multiples
-    of its gcd d whose quotient lies in the semigroup of the prefix scaled
-    by d."""
-
-    def __init__(self, prefix: tuple[int, ...]) -> None:
-        self.d = gcd_list(prefix)
-        self.scaled = tuple(p // self.d for p in prefix)
-        self.semigroup = NumericalSemigroup(self.scaled)
-
-    def __contains__(self, value: int) -> bool:
-        return value >= 0 and value % self.d == 0 and self.semigroup.contains(value // self.d)
-
-    def witness(self, value: int) -> tuple[int, ...]:
-        # Coefficients over the scaled prefix reproduce value over the
-        # unscaled prefix unchanged (both sides scale by d).
-        rep = _kernels.min_representation(value // self.d, self.scaled)
-        if rep is None:
-            raise InvariantViolation(f"witness requested for non-member {value}")
-        return rep
-
-
 def cstar_constants(
     arrangement: Sequence[int],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """For each position i >= 2, the least k >= 1 with k * n_i in the
     monoid generated by the prefix, plus the canonical witness vector.
 
-    The search stops by k = n_1, because n_1 * n_i is a multiple of n_1.
-    Each k * n_i is answered by ``NumericalSemigroup.contains`` on the
-    scaled prefix, a lookup in its Apery table up to the desk-scale
-    limit; the witness is one DFS call per position.
+    k is a multiple j * q_i of q_i = d_{i-1} / d_i, and k * n_i is in the
+    monoid exactly when j * t_i (t_i = n_i / d_i) is in the semigroup of
+    the prefix divided by d_{i-1}, an Apery-table lookup up to the
+    desk-scale limit.  j = 1 works exactly where the arrangement is
+    telescopic, and j = n_1 / d_{i-1} always does.  The witness is one
+    DFS call per position, over the scaled prefix.
     """
     entries = validated_generators(arrangement)
-    d = gcd_list(entries)
-    if d != 1:
-        raise NotCoprimeError(d)
+    chain = divide_chain(entries)
+    if chain[-1] != 1:
+        raise NotCoprimeError(chain[-1])
     _assert_minimal_arrangement(entries)
     cstars: list[int] = []
     reps: list[tuple[int, ...]] = []
-    for i in range(2, len(entries) + 1):
-        member = _PrefixMembership(entries[: i - 1])
-        n_i = entries[i - 1]
-        k = 1
-        while (value := checked_int64(k * n_i, "c* search value")) not in member:
-            k += 1
-        cstars.append(k)
-        reps.append(member.witness(value))
+    for n_i, scaled_prefix, target, q in _divide_walk(entries, chain):
+        semigroup = NumericalSemigroup(scaled_prefix)
+        k_max = INT64_MAX // n_i  # the largest k with k * n_i in 64 bits
+        for j in range(1, k_max // q + 1):
+            if semigroup.contains(j * target):
+                break
+        else:
+            checked_int64((k_max + 1) * n_i, "c* search value")  # always raises
+        witness = _kernels.min_representation(j * target, scaled_prefix)
+        if witness is None:
+            raise InvariantViolation(f"no witness for the member {j * target}")
+        cstars.append(j * q)
+        reps.append(witness)
     return tuple(cstars), tuple(reps)
 
 

@@ -5,7 +5,9 @@ forward boolean sieve (the package relaxes a residue graph), frobenius by
 downward scan with a self-certifying run of consecutive representable
 values, factorizations by full cartesian product (the package uses a
 pruned DFS), Apery tables by heap Dijkstra (the pure-Python kernel runs
-the round-robin algorithm), c* constants by lookups in those tables.
+the round-robin algorithm), c* constants by lookups in those tables,
+canonical witnesses by a greedy walk over sieve tables (the package runs
+a backtracking DFS).
 Keep these dumb; they are the ground truth.
 """
 
@@ -150,3 +152,20 @@ def dijkstra_cstars(arrangement: Sequence[int]) -> list[int]:
             k += 1
         out.append(k)
     return out
+
+
+def canonical_witness(value: int, gens: Sequence[int]) -> tuple[int, ...] | None:
+    """The representation of ``value`` with the smallest coefficients on
+    the latest generators, or None: from the last generator down, take the
+    least coefficient whose remainder the earlier generators still reach,
+    as marked by their sieve table."""
+    tables = [reachable_table(gens[:i], value) for i in range(len(gens) + 1)]
+    if not tables[-1][value]:
+        return None
+    coeffs = [0] * len(gens)
+    rem = value
+    for i in range(len(gens) - 1, -1, -1):
+        while not tables[i][rem - coeffs[i] * gens[i]]:
+            coeffs[i] += 1
+        rem -= coeffs[i] * gens[i]
+    return tuple(coeffs)

@@ -194,6 +194,17 @@ def test_analyze_above_the_materialize_limit_refuses(capsys):
     assert captured.out == ""
 
 
+def test_analyze_gens_above_the_materialize_limit_refuses_before_the_cstar_search(capsys):
+    # n_1 above 1e7: the Apery table every record needs may not be built,
+    # and the c* search over a DFS per k ran for minutes
+    for gens in ("10000019,10000079,10000103", "20000003,20000011,20000023,20000029"):
+        code = cli.main(["analyze", "--gens", gens, "--betti-bound", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "desk-scale" in captured.err
+        assert captured.out == ""
+
+
 def test_table_csv(capsys):
     code, out = run(capsys, "table", "--family", "triangular", "--range", "1..6", "--format", "csv")
     assert code == 0

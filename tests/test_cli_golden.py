@@ -69,6 +69,10 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("analyze", "--tetrahedral", "2000"),
     ("analyze", "--gens", "3,9223372036854775807"),
     ("analyze", "--gens", "5,4611686018427387904,4611686018427387905"),
+    ("analyze", "--gens", "15,10,6", "--format", "json"),
+    ("analyze", "--gens", "30,42,105,70", "--format", "json"),
+    ("analyze", "--gens", "6,4611686018427387905"),
+    ("analyze", "--gens", "4,6,9223372036854775807"),
     # verify
     ("verify", "--family", "triangular", "--range", "3..6"),
     ("verify", "--family", "triangular", "--range", "1..5", "--format", "json"),

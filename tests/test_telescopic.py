@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
 from numsemi.errors import InvariantViolation, NotCoprimeError
@@ -28,7 +31,7 @@ from numsemi.telescopic import (
     johnson_reduce,
 )
 
-from oracles import dijkstra_cstars
+from oracles import canonical_witness, dijkstra_cstars, reachable_table
 
 
 def test_divide_chain_examples():
@@ -112,6 +115,49 @@ def test_cstar_is_least_above_two_hundred_thousand():
     verdict = is_free(entries)
     assert isinstance(verdict, NotFree)
     assert list(verdict.cstars) == dijkstra_cstars(entries)
+
+
+def test_cstar_position_two_is_one_lookup():
+    # c*_2 is always n_1 / gcd(n_1, n_2); a search over every k up to it
+    # takes seconds
+    start = time.perf_counter()
+    assert cstar_constants((9_999_991, 10_000_019)) == ((9_999_991,), ((10_000_019,),))
+    assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def chained_arrangements(draw):
+    """Minimal arrangements n_1..n_e (e = 2..5, entries <= 300) whose
+    divide chain drops at every position: n_1 = q_2 ... q_e and
+    n_i = d_i * t_i with q_i = d_{i-1} / d_i > 1 and gcd(t_i, q_i) = 1."""
+    e = draw(st.integers(min_value=2, max_value=5))
+    qs: list[int] = []
+    for left in range(e - 2, -1, -1):
+        budget = 300 // (math.prod(qs) * 2**left)
+        qs.append(draw(st.sampled_from([q for q in (2, 3, 4, 5, 6, 7, 9, 10) if q <= budget])))
+    chain = [math.prod(qs)]
+    for q in qs:
+        chain.append(chain[-1] // q)
+    entries = [chain[0]]
+    for q, d in zip(qs, chain[1:]):
+        t = draw(st.integers(min_value=1, max_value=300 // d).filter(lambda t, q=q: math.gcd(t, q) == 1))
+        entries.append(d * t)
+    assume(len(set(entries)) == e)
+    for g in entries:
+        others = [h for h in entries if h != g]
+        assume(not reachable_table(others, g)[g])
+    return tuple(entries)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(chained_arrangements())
+def test_cstar_and_witnesses_match_oracles_on_divide_chains(entries):
+    cstars, reps = cstar_constants(entries)
+    assert list(cstars) == dijkstra_cstars(entries)
+    for i, (c, rep) in enumerate(zip(cstars, reps), start=1):
+        d = math.gcd(*entries[:i])
+        scaled = [a // d for a in entries[:i]]
+        assert rep == canonical_witness(c * entries[i] // d, scaled), (entries, i + 1)
 
 
 def test_is_free_examples():
