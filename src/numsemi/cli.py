@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from numsemi import core, figurate, telescopic
@@ -119,6 +120,16 @@ def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict] | None =
     return _record_to_text(record)
 
 
+def _closed_forms(kind: str) -> SimpleNamespace:
+    """The family's closed forms, looked up on ``figurate`` when a command
+    runs, so a patched or wrapped form is the one that is called."""
+    names = ("generators", "direction", "cstar", "presentation", "betti", "apery")
+    return SimpleNamespace(
+        frobenius=getattr(figurate, f"frobenius_{kind}"),
+        **{name: getattr(figurate, f"{kind}_{name}") for name in names},
+    )
+
+
 # ---------------------------------------------------------------------------
 # frobenius
 
@@ -137,22 +148,16 @@ def _frobenius_methods(args: argparse.Namespace) -> tuple[dict, dict[str, int]]:
             primary = "oracle"
         if args.cross_check:
             methods["oracle"] = core.frobenius_oracle(gens)
-    elif args.triangular is not None:
-        n = args.triangular
-        gens = figurate.triangular_generators(n)
-        descriptor = {"kind": "triangular", "n": n, "generators": list(gens)}
-        methods["closed-form"] = figurate.frobenius_triangular(n)
+    elif args.triangular is not None or args.tetrahedral is not None:
+        kind = "triangular" if args.triangular is not None else "tetrahedral"
+        n = getattr(args, kind)
+        forms = _closed_forms(kind)
+        gens = forms.generators(n)
+        descriptor = {"kind": kind, "n": n, "generators": list(gens)}
+        methods["closed-form"] = forms.frobenius(n)
         if args.cross_check:
-            methods["cubic-form"] = figurate.baker_a(n)
-            methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-            methods["oracle"] = core.frobenius_oracle(gens)
-        primary = "closed-form"
-    elif args.tetrahedral is not None:
-        n = args.tetrahedral
-        gens = figurate.tetrahedral_generators(n)
-        descriptor = {"kind": "tetrahedral", "n": n, "generators": list(gens)}
-        methods["closed-form"] = figurate.frobenius_tetrahedral(n)
-        if args.cross_check:
+            if kind == "triangular":
+                methods["cubic-form"] = figurate.baker_a(n)
             methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
             methods["oracle"] = core.frobenius_oracle(gens)
         primary = "closed-form"
@@ -263,16 +268,10 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
 
 
 def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
-    if kind == "triangular":
-        gens = figurate.triangular_generators(n)
-        direction = figurate.triangular_direction(n)
-        closed_frobenius = figurate.frobenius_triangular(n)
-        structural = n >= 3
-    else:
-        gens = figurate.tetrahedral_generators(n)
-        direction = figurate.tetrahedral_direction(n)
-        closed_frobenius = figurate.frobenius_tetrahedral(n)
-        structural = n >= 4
+    forms = _closed_forms(kind)
+    gens = forms.generators(n)
+    direction = forms.direction(n)
+    closed_frobenius = forms.frobenius(n)
     semigroup = core.NumericalSemigroup(gens)
     record: dict = {
         "schema": SCHEMA_VERSION,
@@ -284,25 +283,14 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
     methods = {"closed-form": closed_frobenius, "reduction": telescopic.brauer_shockley_frobenius(gens)}
     record["frobenius"] = closed_frobenius
     record["provenance"] = "closed-form"
-    if structural:
-        if kind == "triangular":
-            form = figurate.triangular_cstar(n)
-            presentation = figurate.triangular_presentation(n)
-            betti = figurate.triangular_betti(n)
-            ap = figurate.triangular_apery(n)
-        else:
-            form = figurate.tetrahedral_cstar(n)
-            presentation = figurate.tetrahedral_presentation(n)
-            betti = figurate.tetrahedral_betti(n)
-            ap = figurate.tetrahedral_apery(n)
+    if record["embedding_dimension"] == len(gens):
+        form = forms.cstar(n)
         record["arrangement"] = list(form.arrangement)
         record["cstar"] = list(form.cstars)
         record["free"] = True
-        record["presentation"] = [
-            {"lhs": list(l), "rhs": list(r)} for l, r in presentation.relations
-        ]
-        record["betti"] = sorted(betti)
-        record["apery"] = _apery_summary(ap, args.full)
+        record["presentation"] = [{"lhs": list(l), "rhs": list(r)} for l, r in forms.presentation(n).relations]
+        record["betti"] = sorted(forms.betti(n))
+        record["apery"] = _apery_summary(forms.apery(n), args.full)
     else:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate._REDUCED_EDIM_MSG
@@ -317,10 +305,9 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.gens is not None:
         record = _analyze_generic(_parse_gens(args.gens), args)
-    elif args.triangular is not None:
-        record = _analyze_family("triangular", args.triangular, args)
     else:
-        record = _analyze_family("tetrahedral", args.tetrahedral, args)
+        kind = "triangular" if args.triangular is not None else "tetrahedral"
+        record = _analyze_family(kind, getattr(args, kind), args)
     csv_rows = [
         {
             "generators": record["input"]["generators"],
@@ -340,6 +327,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # verify
 
 
+def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
+                     semigroup: core.NumericalSemigroup, betti_oracle_max_n: int) -> str | None:
+    """c*, freeness, presentation, Betti and Apery closed forms against the generic engine."""
+    if figurate.figurate_embedding_dimension(kind, n) != len(gens):
+        return None
+    forms = _closed_forms(kind)
+    form = forms.cstar(n)
+    fd = telescopic.is_free(form.arrangement)
+    if form.cstars != fd.cstars:
+        return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
+    if not fd:
+        return "freeness product test failed"
+    forms.presentation(n)  # validates evaluation equality on construction
+    closed_betti = forms.betti(n)
+    if closed_betti != telescopic.free_betti(fd):
+        return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
+    ap_closed = forms.apery(n)
+    if ap_closed != semigroup.apery(ap_closed.anchor):
+        return "Apery mismatch between closed form and oracle"
+    if ap_closed.frobenius() != closed:
+        return "max(Apery) - anchor disagrees with the Frobenius number"
+    if n <= betti_oracle_max_n and closed_betti != semigroup.betti_elements():
+        return "Betti oracle disagrees with the closed form"
+    return None
+
+
 def _check_triangular(n: int) -> str | None:
     gens = figurate.triangular_generators(n)
     closed = figurate.frobenius_triangular(n)
@@ -353,26 +366,7 @@ def _check_triangular(n: int) -> str | None:
         return "forward arrangement not telescopic"
     if not telescopic.is_telescopic(gens[::-1]):
         return "reverse arrangement not telescopic"
-    if n < 3:
-        return None
-    form = figurate.triangular_cstar(n)
-    fd = telescopic.is_free(form.arrangement)
-    if form.cstars != fd.cstars:
-        return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
-    if not fd:
-        return "freeness product test failed"
-    figurate.triangular_presentation(n)  # validates evaluation equality on construction
-    closed_betti = figurate.triangular_betti(n)
-    if closed_betti != telescopic.free_betti(fd):
-        return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
-    ap_closed = figurate.triangular_apery(n)
-    if ap_closed != semigroup.apery(ap_closed.anchor):
-        return "Apery mismatch between closed form and oracle"
-    if ap_closed.frobenius() != closed:
-        return "max(Apery) - anchor disagrees with the Frobenius number"
-    if n <= 12 and closed_betti != semigroup.betti_elements():
-        return "Betti oracle disagrees with the closed form"
-    return None
+    return _check_structure("triangular", n, gens, closed, semigroup, betti_oracle_max_n=12)
 
 
 def _check_tetrahedral(n: int) -> str | None:
@@ -388,26 +382,7 @@ def _check_tetrahedral(n: int) -> str | None:
     expect_forward = n % 6 in (0, 1, 2, 3)
     if forward != expect_forward or reverse != (not expect_forward):
         return f"classification mismatch: forward={forward} reverse={reverse} n mod 6 = {n % 6}"
-    if n < 4:
-        return None
-    form = figurate.tetrahedral_cstar(n)
-    fd = telescopic.is_free(form.arrangement)
-    if form.cstars != fd.cstars:
-        return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
-    if not fd:
-        return "freeness product test failed"
-    figurate.tetrahedral_presentation(n)
-    closed_betti = figurate.tetrahedral_betti(n)
-    if closed_betti != telescopic.free_betti(fd):
-        return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
-    ap_closed = figurate.tetrahedral_apery(n)
-    if ap_closed != semigroup.apery(ap_closed.anchor):
-        return "Apery mismatch between closed form and oracle"
-    if ap_closed.frobenius() != closed:
-        return "max(Apery) - anchor disagrees with the Frobenius number"
-    if n <= 8 and closed_betti != semigroup.betti_elements():
-        return "Betti oracle disagrees with the closed form"
-    return None
+    return _check_structure("tetrahedral", n, gens, closed, semigroup, betti_oracle_max_n=8)
 
 
 def _check_choose4(n: int) -> str | None:
@@ -501,45 +476,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # table
 
 
-def _table_row(family: str, n: int) -> dict:
-    if family == "triangular":
-        gens = figurate.triangular_generators(n)
-        row = {
-            "n": n,
-            "generators": list(gens),
-            "frobenius": figurate.frobenius_triangular(n),
-            "cstar": list(figurate.triangular_cstar(n).cstars) if n >= 3 else "",
-            "betti": sorted(figurate.triangular_betti(n)) if n >= 3 else "",
-            "direction": figurate.triangular_direction(n).value,
-        }
-    elif family == "tetrahedral":
-        gens = figurate.tetrahedral_generators(n)
-        row = {
-            "n": n,
-            "generators": list(gens),
-            "frobenius": figurate.frobenius_tetrahedral(n),
-            "cstar": list(figurate.tetrahedral_cstar(n).cstars) if n >= 4 else "",
-            "betti": sorted(figurate.tetrahedral_betti(n)) if n >= 4 else "",
-            "direction": figurate.tetrahedral_direction(n).value,
-        }
-    else:  # choose4
-        gens, cls = figurate.choose4_family(n)
-        ordered = gens if cls in (figurate.TelescopicClass.FORWARD, figurate.TelescopicClass.BOTH) else gens[::-1]
-        fd = None
-        if cls is not figurate.TelescopicClass.NEITHER:
-            # the raw five-term sequence may carry redundant generators
-            minimal = core.NumericalSemigroup(ordered).generators
-            verdict = telescopic.is_free(telescopic.arranged_minimal(ordered, minimal))
-            fd = verdict if verdict else None
-        row = {
-            "n": n,
-            "generators": list(gens),
-            "frobenius": telescopic.brauer_shockley_frobenius(gens),
-            "cstar": list(fd.cstars) if fd else "",
-            "betti": sorted(telescopic.free_betti(fd)) if fd else "",
-            "direction": cls.value,
-        }
-    return row
+def _family_row(kind: str, forms: SimpleNamespace, n: int) -> dict:
+    gens = forms.generators(n)
+    full = figurate.figurate_embedding_dimension(kind, n) == len(gens)
+    return {
+        "n": n,
+        "generators": list(gens),
+        "frobenius": forms.frobenius(n),
+        "cstar": list(forms.cstar(n).cstars) if full else "",
+        "betti": sorted(forms.betti(n)) if full else "",
+        "direction": forms.direction(n).value,
+    }
+
+
+def _choose4_row(n: int) -> dict:
+    gens, cls = figurate.choose4_family(n)
+    ordered = gens if cls in (figurate.TelescopicClass.FORWARD, figurate.TelescopicClass.BOTH) else gens[::-1]
+    fd = None
+    if cls is not figurate.TelescopicClass.NEITHER:
+        # the raw five-term sequence may carry redundant generators
+        minimal = core.NumericalSemigroup(ordered).generators
+        verdict = telescopic.is_free(telescopic.arranged_minimal(ordered, minimal))
+        fd = verdict if verdict else None
+    return {
+        "n": n,
+        "generators": list(gens),
+        "frobenius": telescopic.brauer_shockley_frobenius(gens),
+        "cstar": list(fd.cstars) if fd else "",
+        "betti": sorted(telescopic.free_betti(fd)) if fd else "",
+        "direction": cls.value,
+    }
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -560,16 +526,13 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.range is None:
             raise ValueError("--range a..b is required for this family")
         lo, hi = _parse_range(args.range)
-        rows = [_table_row(args.family, n) for n in range(lo, hi + 1)]
-    if args.format == "json":
-        payload = json.dumps(
-            {"schema": SCHEMA_VERSION, "family": args.family, "rows": rows}, sort_keys=True, indent=2
-        ) + "\n"
-    elif args.format == "csv":
-        payload = _record_to_csv(rows)
-    else:
-        payload = "".join(_record_to_text(row) for row in rows)
-    _emit(payload, args.out)
+        if args.family == "choose4":
+            rows = [_choose4_row(n) for n in range(lo, hi + 1)]
+        else:
+            forms = _closed_forms(args.family)
+            rows = [_family_row(args.family, forms, n) for n in range(lo, hi + 1)]
+    record = {"schema": SCHEMA_VERSION, "family": args.family, "rows": rows} if args.format == "json" else rows
+    _emit(_format_payload(record, args.format, rows), args.out)
     return EXIT_OK
 
 

@@ -65,8 +65,10 @@ class AperySet:
         if self.by_residue[0] != 0:
             raise InvariantViolation("Apery element for residue 0 must be 0")
         for r, el in enumerate(self.by_residue):
-            if el % self.anchor != r:
-                raise InvariantViolation(f"Apery element {el} filed under residue {r}")
+            if el % self.anchor != r or el < 0:
+                raise InvariantViolation(
+                    f"Apery element {el} is negative" if el < 0 else f"Apery element {el} filed under residue {r}"
+                )
 
     def max_element(self) -> int:
         return max(self.by_residue)

@@ -1,0 +1,49 @@
+"""CLI byte-identity dump: exit code, stdout sha256 and stderr sha256 of
+every argv the benchmark runs for one seed, plus the golden argvs.
+
+    PYTHONPATH=src python tests/cli_identity.py --seed N > identity.txt
+
+The argvs are the perfbench operation lists of the three workloads at
+``--seconds 20`` for that seed (420, 580 and 220 operations), followed by
+``ARGVS`` from ``tests/test_cli_golden.py``.  One line per argv, in a fixed
+order, so two checkouts that must not differ in CLI output compare with one
+``diff`` of their dumps.  Not a ``test_*`` file: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+from test_cli_golden import ARGVS, observe  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SECONDS = 20
+
+
+def argvs(seed: int) -> list[tuple[str, ...]]:
+    """The benchmark's argv lists for ``seed``, then the golden set."""
+    out: list[tuple[str, ...]] = []
+    for workload in WORKLOADS.values():
+        count = math.ceil(SECONDS * workload.ops_per_second)
+        out.extend(op.argv for op in workload.generate(random.Random(seed), count))
+    return out + list(ARGVS)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+    for argv in argvs(args.seed):
+        rec = observe(argv)
+        print(rec["exit"], rec["stdout_sha256"], rec["stderr_sha256"], " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()

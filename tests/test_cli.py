@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from numsemi import _kernels, cli, figurate
+from numsemi import _kernels, cli, core, figurate
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -178,11 +178,62 @@ def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_ca
     assert len(seen) <= max_calls, seen
 
 
+def _raised_residue_one(apery):
+    """The closed-form Apery set with its residue-1 element raised by the anchor."""
+
+    def patched(n):
+        ap = apery(n)
+        by_residue = list(ap.by_residue)
+        by_residue[1] += ap.anchor
+        return core.AperySet(ap.anchor, tuple(by_residue))
+
+    return patched
+
+
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(figurate, "frobenius_triangular", lambda n: 0)
-    code, out = run(capsys, "verify", "--family", "triangular", "--range", "3..3")
-    assert code == 1
-    assert "FAIL" in out
+    # one wrong closed form per check; each is looked up when the command runs
+    cases = [
+        (
+            "triangular", 3, "frobenius_triangular", lambda n: 0,
+            "frobenius mismatch: closed=0 cubic=29 oracle=29 reduction=29",
+        ),
+        (
+            "triangular", 5, "triangular_cstar",
+            lambda n: figurate.CstarForm(figurate.triangular_generators(n), (1, 1)),
+            "c* mismatch: closed=(1, 1) generic=(5, 3)",
+        ),
+        (
+            "tetrahedral", 10, "tetrahedral_betti", lambda n: {0},
+            "Betti mismatch: closed={0} free={2002, 1820, 2860}",
+        ),
+        (
+            "tetrahedral", 11, "tetrahedral_apery", _raised_residue_one(figurate.tetrahedral_apery),
+            "Apery mismatch between closed form and oracle",
+        ),
+    ]
+    for family, n, form, patch, message in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(figurate, form, patch)
+            code = cli.main(["verify", "--family", family, "--range", f"{n}..{n}"])
+        captured = capsys.readouterr()
+        assert code == 1, form
+        assert f"n={n} FAIL {message}" in captured.out
+        assert captured.err == f"first counterexample: n={n}: {message}\n"
+
+
+def test_analyze_family_reports_the_patched_closed_form(capsys, monkeypatch):
+    # n = 10 is a reverse member (see test_analyze_direction)
+    monkeypatch.setattr(figurate, "tetrahedral_direction", lambda n: figurate.Direction.FORWARD)
+    code, out = run(capsys, "analyze", "--tetrahedral", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["direction"] == "forward"
+
+
+def test_table_reports_the_patched_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(figurate, "triangular_betti", lambda n: {42})
+    code, out = run(capsys, "table", "--family", "triangular", "--range", "2..4", "--format", "json")
+    assert code == 0
+    assert [row["betti"] for row in json.loads(out)["rows"]] == ["", [42], [42]]
 
 
 def test_analyze_above_the_materialize_limit_refuses(capsys):

@@ -40,6 +40,8 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("frobenius", "--arith", "10,4", "--format", "json"),
     ("frobenius", "--choose4", "6", "--format", "json"),
     ("frobenius", "--choose4", "11", "--cross-check", "--format", "csv"),
+    ("frobenius", "--triangular", "2", "--cross-check", "--format", "csv"),
+    ("frobenius", "--tetrahedral", "11", "--cross-check", "--format", "json"),
     ("frobenius", "--gens", "2,4611686018427387905"),
     ("frobenius", "--gens", "2,4611686018427387905", "--cross-check"),
     ("frobenius", "--gens", "20000000,30000001,50000001"),
@@ -67,6 +69,11 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("analyze", "--tetrahedral", "3", "--format", "json"),
     ("analyze", "--tetrahedral", "10", "--format", "csv"),
     ("analyze", "--tetrahedral", "2000"),
+    ("analyze", "--triangular", "0"),
+    ("analyze", "--triangular", "1", "--full"),
+    ("analyze", "--triangular", "4", "--format", "csv"),
+    ("analyze", "--tetrahedral", "1"),
+    ("analyze", "--tetrahedral", "11", "--full", "--format", "json"),
     ("analyze", "--gens", "3,9223372036854775807"),
     ("analyze", "--gens", "5,4611686018427387904,4611686018427387905"),
     ("analyze", "--gens", "15,10,6", "--format", "json"),
@@ -78,6 +85,7 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("verify", "--family", "triangular", "--range", "1..5", "--format", "json"),
     ("verify", "--family", "tetrahedral", "--range", "4..9", "--format", "csv"),
     ("verify", "--family", "tetrahedral", "--range", "1..12"),
+    ("verify", "--family", "tetrahedral", "--range", "10..11", "--format", "json"),
     ("verify", "--family", "choose4", "--range", "1..60"),
     ("verify", "--family", "choose4", "--range", "3..12", "--format", "json"),
     ("verify", "--family", "arith", "--range", "1..8", "--format", "csv"),
@@ -88,6 +96,9 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     # table
     ("table", "--family", "triangular", "--range", "1..6", "--format", "csv"),
     ("table", "--family", "tetrahedral", "--range", "4..9"),
+    ("table", "--family", "triangular", "--range", "1..5"),
+    ("table", "--family", "triangular", "--range", "1..8", "--format", "json"),
+    ("table", "--family", "tetrahedral", "--range", "1..12", "--format", "json"),
     ("table", "--family", "choose4", "--range", "1..80", "--format", "csv"),
     ("table", "--family", "choose4", "--range", "4..12", "--format", "json"),
     ("table", "--family", "arith", "--n", "6", "--k", "2..5", "--format", "json"),

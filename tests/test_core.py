@@ -322,6 +322,10 @@ def test_apery_set_validation():
         AperySet(3, (1, 4, 2))
     with pytest.raises(InvariantViolation):
         AperySet(3, (0, 2, 4))
+    # -2 % 3 == 1: a negative element sits in the right class but is no
+    # semigroup element, and would make frobenius() read -3
+    with pytest.raises(InvariantViolation, match="negative"):
+        AperySet(3, (0, -2, -1))
 
 
 def test_caches_are_idempotent():
