@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -108,9 +110,38 @@ def _record_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _json(value: object, pad: str = "") -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` for
+    str-keyed records.  With ``indent`` set, ``json.dumps`` runs its
+    pure-Python encoder, one generator step per list element; here a list
+    of plain ints, such as a full Apery set, is one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # exactly int: json writes the bool subclass as true/false
+        plain = set(map(type, value)) == {int}
+        items = map(int.__repr__, value) if plain else [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict] | None = None) -> str:
     if fmt == "json":
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+        return _json(record) + "\n"
     if fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is not supported for this command")
@@ -217,8 +248,8 @@ def _apery_summary(ap: core.AperySet, full: bool) -> dict:
     summary: dict = {
         "anchor": ap.anchor,
         "size": len(ap),
-        "max": ap.max_element(),
-        "frobenius_from_apery": ap.frobenius(),
+        "max": elements[-1],
+        "frobenius_from_apery": elements[-1] - ap.anchor,
     }
     if full or len(elements) <= 6:
         summary["elements"] = list(elements)
@@ -622,9 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
         return code

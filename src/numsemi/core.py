@@ -70,6 +70,15 @@ class AperySet:
                     f"Apery element {el} is negative" if el < 0 else f"Apery element {el} filed under residue {r}"
                 )
 
+    @classmethod
+    def _trusted(cls, anchor: int, by_residue: tuple[int, ...]) -> AperySet:
+        """A set whose producer has already proved every invariant
+        ``__post_init__`` checks; skips that O(anchor) pass."""
+        ap = object.__new__(cls)
+        object.__setattr__(ap, "anchor", anchor)
+        object.__setattr__(ap, "by_residue", by_residue)
+        return ap
+
     def max_element(self) -> int:
         return max(self.by_residue)
 

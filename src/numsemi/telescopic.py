@@ -257,6 +257,10 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
         if by_residue[r] >= 0:
             raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
         by_residue[r] = element
+    if len(combos) == anchor and min(arrangement) >= 1:
+        # every residue filed once by its own element, all >= 0, the empty
+        # sum 0 under residue 0: what AperySet would check again
+        return AperySet._trusted(anchor, tuple(by_residue))
     return AperySet(anchor, tuple(by_residue))
 
 

@@ -1,13 +1,18 @@
 """CLI byte-identity dump: exit code, stdout sha256 and stderr sha256 of
-every argv the benchmark runs for one seed, plus the golden argvs.
+every argv the benchmark runs for one seed, the figurate family sweep and
+the golden argvs.
 
     PYTHONPATH=src python tests/cli_identity.py --seed N > identity.txt
 
 The argvs are the perfbench operation lists of the three workloads at
-``--seconds 20`` for that seed (420, 580 and 220 operations), followed by
-``ARGVS`` from ``tests/test_cli_golden.py``.  One line per argv, in a fixed
-order, so two checkouts that must not differ in CLI output compare with one
-``diff`` of their dumps.  Not a ``test_*`` file: pytest does not collect it.
+``--seconds 20`` for that seed (415, 580 and 220 operations), then the
+family sweep (``analyze`` with and without ``--full`` and ``frobenius``
+with and without ``--cross-check`` for n = 0..30 of both families, ``table``
+over 1..200 and ``verify`` over 1..20, each in text, json and csv; 756
+argvs), followed by ``ARGVS`` from ``tests/test_cli_golden.py``.  One line
+per argv, in a fixed order, so two checkouts that must not differ in CLI
+output compare with one ``diff`` of their dumps.  Not a ``test_*`` file:
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,15 +30,34 @@ from test_cli_golden import ARGVS, observe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SECONDS = 20
+FAMILIES = ("triangular", "tetrahedral")
+FORMATS = ("text", "json", "csv")
+
+
+def family_sweep() -> list[tuple[str, ...]]:
+    """Every family command over small n, with and without its extra flag."""
+    out: list[tuple[str, ...]] = []
+    for command, flag in (("analyze", "--full"), ("frobenius", "--cross-check")):
+        for family in FAMILIES:
+            for n in range(31):
+                for extra in ((), (flag,)):
+                    for fmt in FORMATS:
+                        out.append((command, f"--{family}", str(n), *extra, "--format", fmt))
+    for command, span in (("table", "1..200"), ("verify", "1..20")):
+        for family in FAMILIES:
+            for fmt in FORMATS:
+                out.append((command, "--family", family, "--range", span, "--format", fmt))
+    return out
 
 
 def argvs(seed: int) -> list[tuple[str, ...]]:
-    """The benchmark's argv lists for ``seed``, then the golden set."""
+    """The benchmark's argv lists for ``seed``, the family sweep, then the
+    golden set."""
     out: list[tuple[str, ...]] = []
     for workload in WORKLOADS.values():
         count = math.ceil(SECONDS * workload.ops_per_second)
         out.extend(op.argv for op in workload.generate(random.Random(seed), count))
-    return out + list(ARGVS)
+    return out + family_sweep() + list(ARGVS)
 
 
 def main() -> None:

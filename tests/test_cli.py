@@ -21,6 +21,27 @@ def test_frobenius_triangular_text(capsys):
     assert "provenance: closed-form" in out
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        code, out = run(capsys, "frobenius", "--gens", "5,7", "--cross-check", "--format", "json")
+        assert code == 0 and "oracle" in json.loads(out)["methods"]
+        assert cli.main(["frobenius", "--gens", "5,7", "--format", "xml"]) == 2
+        capsys.readouterr()
+        code, out = run(capsys, "frobenius", "--gens", "5,7", "--format", "json")
+        assert code == 0 and json.loads(out)["methods"] == {"reduction": 23}
+        code, out = run(capsys, "analyze", "--gens", "5,6,8", "--betti-bound", "10", "--format", "json")
+        assert code == 0 and json.loads(out)["betti"] == []
+        code, out = run(capsys, "analyze", "--gens", "5,6,8", "--format", "json")
+        assert code == 0 and json.loads(out)["betti"] == sorted(core.NumericalSemigroup((5, 6, 8)).betti_elements())
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_frobenius_gens(capsys):
     code, out = run(capsys, "frobenius", "--gens", "3,10")
     assert code == 0

@@ -80,6 +80,10 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("analyze", "--gens", "30,42,105,70", "--format", "json"),
     ("analyze", "--gens", "6,4611686018427387905"),
     ("analyze", "--gens", "4,6,9223372036854775807"),
+    ("analyze", "--gens", "1", "--full", "--format", "json"),
+    ("analyze", "--triangular", "2", "--format", "json"),
+    ("analyze", "--triangular", "60", "--full", "--format", "json"),
+    ("analyze", "--tetrahedral", "40", "--full", "--format", "json"),
     # verify
     ("verify", "--family", "triangular", "--range", "3..6"),
     ("verify", "--family", "triangular", "--range", "1..5", "--format", "json"),
@@ -104,10 +108,12 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("table", "--family", "arith", "--n", "6", "--k", "2..5", "--format", "json"),
     ("table", "--family", "arith"),
     ("table", "--family", "tetrahedral", "--range", "3000000..3000000"),
+    ("table", "--family", "triangular", "--range", "1..500", "--format", "json"),
     # perms
     ("perms",),
     ("perms", "--format", "json"),
     ("perms", "--full", "--format", "csv"),
+    ("perms", "--full", "--format", "json"),
 )
 
 

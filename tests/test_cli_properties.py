@@ -1,6 +1,7 @@
 """Property tests driven through ``cli.main``: on random generator lists
 every method must agree, and the Frobenius number and the c* constants
-must match the heap-Dijkstra oracles."""
+must match the heap-Dijkstra oracles.  The CLI's JSON writer must match
+``json.dumps(sort_keys=True, indent=2)`` byte for byte."""
 
 from __future__ import annotations
 
@@ -52,3 +53,29 @@ def test_analyze_agrees_with_oracle(gens):
     assert record["frobenius"] == oracle_frobenius(gens)
     assert record["cstar"] == dijkstra_cstars(record["arrangement"])
     assert record["free"] == (math.prod(record["cstar"]) == record["arrangement"][0])
+
+
+INT64_MAX = 2**63 - 1
+json_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([INT64_MAX, -INT64_MAX, INT64_MAX + 1, -(INT64_MAX + 2), 10**30, -(10**30)]),
+)
+json_strings = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\x7f\"\\", "é\u2028\U0001f600", "\ud800"]))
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_strings)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(json_strings, children),
+        st.lists(json_ints, min_size=1),
+        st.lists(st.one_of(st.booleans(), json_ints), min_size=1),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -212,6 +212,15 @@ def test_apery_box_refuses_duplicate_residues():
         apery_box((4, 2), (4,))
 
 
+def test_apery_box_falls_back_to_the_checked_constructor():
+    # distinct residues, but a negative generator: AperySet names the element
+    with pytest.raises(InvariantViolation, match="Apery element -5 is negative"):
+        apery_box((6, -5, 10), (2, 3))
+    # negative c* multiply to the anchor but leave the box empty
+    with pytest.raises(InvariantViolation, match="Apery element for residue 0 must be 0"):
+        apery_box((6, 10, 15), (-2, -3))
+
+
 def test_apery_box_refuses_anchors_above_the_materialize_limit():
     anchor = APERY_MATERIALIZE_LIMIT + 1
     with pytest.raises(ValueError, match="desk-scale"):
