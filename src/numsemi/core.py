@@ -189,6 +189,27 @@ class NumericalSemigroup:
             table = _kernels.apery_levels(m, self.generators)
         return AperySet(m, tuple(table))
 
+    def is_apery_set(self, ap: AperySet) -> bool:
+        """True iff ``ap`` is Ap(S, ap.anchor), answered from the table of
+        the smallest generator n_1 with no table mod the anchor.
+
+        An ``AperySet`` files one element per residue mod its anchor a, and
+        S + a ⊆ S, so it is Ap(S, a) exactly when a is in S, every w is in
+        S and no w - a is.  For a = n_1 that is equality with the table.
+        """
+        table = self._smallest_apery()
+        m = self.generators[0]
+        a = ap.anchor
+        if a == m:
+            return list(ap.by_residue) == table
+        if a < table[a % m]:
+            return False
+        for w in ap.by_residue:
+            # table entries are >= 0, so a negative w - a is never counted in S
+            if w < table[w % m] or w - a >= table[(w - a) % m]:
+                return False
+        return True
+
     def frobenius(self) -> int:
         """Largest integer outside the semigroup; -1 for the whole of N."""
         if self._frobenius is None:

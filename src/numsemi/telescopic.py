@@ -242,22 +242,29 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
     """Apery set of n_1 over a free arrangement: the box of all sums over
     n_2..n_e with the coefficient of n_j below c*_j (Rosales &
     García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
-    to n_1, and the n_1 sums must land in distinct residues mod n_1."""
+    to n_1, and the n_1 sums must land in distinct residues mod n_1.
+
+    Here n_1 is the arrangement's first entry, the anchor, which need not
+    be the multiplicity: for reversed tetrahedral n it is TH_{n+3}."""
     anchor = arrangement[0]
     require_desk_scale(anchor)
     if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
         raise InvariantViolation(f"c* {tuple(cstars)} do not multiply to the anchor {anchor}")
     checked_int64(sum((c - 1) * n for c, n in zip(cstars, arrangement[1:])), "free Apery element")
-    combos = [0]
-    for c, n in zip(cstars, arrangement[1:]):
-        combos = [base + lam * n for base in combos for lam in range(c)]
+    bases = [0]
+    for c, n in zip(cstars[:-1], arrangement[1:-1]):
+        bases = [base + lam * n for base in bases for lam in range(c)]
+    # the last generator's multiples go straight into residue slots
+    steps = [lam * arrangement[-1] for lam in range(cstars[-1])] if cstars else [0]
     by_residue = [-1] * anchor
-    for element in combos:
-        r = element % anchor
-        if by_residue[r] >= 0:
-            raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
-        by_residue[r] = element
-    if len(combos) == anchor and min(arrangement) >= 1:
+    for base in bases:
+        for step in steps:
+            element = base + step
+            r = element % anchor
+            if by_residue[r] >= 0:
+                raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
+            by_residue[r] = element
+    if len(bases) * len(steps) == anchor and min(arrangement) >= 1:
         # every residue filed once by its own element, all >= 0, the empty
         # sum 0 under residue 0: what AperySet would check again
         return AperySet._trusted(anchor, tuple(by_residue))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from numsemi import _kernels, cli, core, figurate
+from numsemi import _kernels, arith, cli, core, figurate
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -100,6 +100,12 @@ def test_parse_error_exits_2(capsys):
     assert cli.main(["frobenius"]) == 2
 
 
+@pytest.mark.parametrize("pair", ["a,3", "6,b", "6", "6,3,1"])
+def test_arith_pair_must_be_two_integers(capsys, pair):
+    assert cli.main(["frobenius", "--arith", pair]) == 2
+    assert capsys.readouterr().err == f"error: expected n,k with two integers, got {pair!r}\n"
+
+
 def test_frobenius_arith(capsys):
     code, out = run(capsys, "frobenius", "--arith", "6,3", "--cross-check", "--format", "json")
     assert code == 0
@@ -181,7 +187,9 @@ def test_verify_requires_range(capsys):
     "check, n, max_calls",
     [
         (cli._check_tetrahedral, 9, 4),  # forward: anchor TH_n is the oracle's modulus
-        (cli._check_tetrahedral, 10, 5),  # reverse: anchor TH_{n+3} needs its own table
+        # reverse: the box mod the anchor TH_{n+3} is checked in the table mod TH_n
+        (cli._check_tetrahedral, 10, 4),
+        (cli._check_tetrahedral, 11, 4),
         (cli._check_triangular, 9, 3),
     ],
 )
@@ -197,15 +205,16 @@ def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_ca
     assert check(n) is None
     assert len(seen) == len(set(seen)), seen
     assert len(seen) <= max_calls, seen
+    assert all(m != arith.tetrahedral(n + 3) for m, _ in seen), seen
 
 
-def _raised_residue_one(apery):
-    """The closed-form Apery set with its residue-1 element raised by the anchor."""
+def _moved_residue_one(apery, sign):
+    """The closed-form Apery set with its residue-1 element moved by sign * anchor."""
 
     def patched(n):
         ap = apery(n)
         by_residue = list(ap.by_residue)
-        by_residue[1] += ap.anchor
+        by_residue[1] += sign * ap.anchor
         return core.AperySet(ap.anchor, tuple(by_residue))
 
     return patched
@@ -228,7 +237,22 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
             "Betti mismatch: closed={0} free={2002, 1820, 2860}",
         ),
         (
-            "tetrahedral", 11, "tetrahedral_apery", _raised_residue_one(figurate.tetrahedral_apery),
+            "tetrahedral", 11, "tetrahedral_apery", _moved_residue_one(figurate.tetrahedral_apery, 1),
+            "Apery mismatch between closed form and oracle",
+        ),
+        # forward anchor n_1: compared with the oracle's table
+        (
+            "triangular", 6, "triangular_apery", _moved_residue_one(figurate.triangular_apery, 1),
+            "Apery mismatch between closed form and oracle",
+        ),
+        # reverse anchor TH_{n+3}: the lowered element is not in S
+        (
+            "tetrahedral", 10, "tetrahedral_apery", _moved_residue_one(figurate.tetrahedral_apery, -1),
+            "Apery mismatch between closed form and oracle",
+        ),
+        # an anchor outside S is a mismatch too, not a usage error
+        (
+            "tetrahedral", 9, "tetrahedral_apery", lambda n: core.AperySet(1, (0,)),
             "Apery mismatch between closed form and oracle",
         ),
     ]

@@ -315,6 +315,30 @@ def test_factorization_soundness(s, data):
     assert len(facts) == len(set(facts))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4, unique=True),
+    st.data(),
+)
+def test_is_apery_set_accepts_exactly_the_apery_set(gens, data):
+    if math.gcd(*gens) != 1:
+        gens.append(1 + max(gens))
+    S = NumericalSemigroup(tuple(gens))
+    m, frob = S.multiplicity, S.frobenius()
+    # n_1, the other generators and elements that are no generator
+    a = data.draw(st.sampled_from([x for x in range(m, frob + 2 * m) if S.contains(x)]), label="anchor")
+    ap = S.apery(a)
+    assert S.is_apery_set(ap)
+    # w + a has w - a = w in S; w - a is below the least element w of its class
+    r = data.draw(st.integers(min_value=1, max_value=a - 1), label="residue")
+    moved = list(ap.by_residue)
+    moved[r] += -a if data.draw(st.booleans(), label="lower") and moved[r] >= a else a
+    assert not S.is_apery_set(AperySet(a, tuple(moved)))
+    # least elements of S in each class mod a gap pass every element test
+    gap = data.draw(st.sampled_from([x for x in range(1, frob + 1) if not S.contains(x)]), label="gap")
+    assert not S.is_apery_set(AperySet(gap, tuple(naive_apery(S.generators, gap))))
+
+
 def test_apery_set_validation():
     with pytest.raises(InvariantViolation):
         AperySet(3, (0, 1))
