@@ -22,6 +22,7 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from numsemi import core, figurate, telescopic
+from numsemi.arith import checked_int64
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
 EXIT_OK = 0
@@ -261,6 +262,20 @@ def _apery_summary(ap: core.AperySet, full: bool) -> dict:
     return summary
 
 
+def _betti_bound(args: argparse.Namespace) -> int | None:
+    """``--betti-bound``, held to the 64-bit range on every path, as the
+    Betti scan holds it."""
+    if args.betti_bound is not None:
+        checked_int64(args.betti_bound, "Betti scan bound")
+    return args.betti_bound
+
+
+def _betti_upto(betti: set[int], bound: int | None) -> list[int]:
+    """A closed-form or free-form Betti set, sorted and capped at ``bound``
+    as ``NumericalSemigroup.betti_elements`` caps its scan."""
+    return sorted(b for b in betti if bound is None or b <= bound)
+
+
 def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     semigroup = core.NumericalSemigroup(gens)
     # Every record needs Ap(S, n_1): refuse before the c* search
@@ -276,22 +291,28 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
         bool(telescopic.is_telescopic(gens)) if len(gens) >= 2 else True
     )
     record["telescopic_as_given"] = telescopic_given
-    verdict = telescopic.is_free(arrangement)
+    # the c* walk and the reduction share the semigroups they build, this
+    # one first: its n_1 table is built once, and its minimal generators,
+    # arranged as in the input, are not minimalized again
+    built = {semigroup.generators: semigroup}
+    verdict = telescopic._is_free(arrangement, built)
     record["arrangement"] = list(arrangement)
     record["free"] = bool(verdict)
     record["cstar"] = list(verdict.cstars)
     methods = {"oracle": semigroup.frobenius()}
+    bound = _betti_bound(args)
     if isinstance(verdict, telescopic.FreeDecomposition):
         methods["free-form"] = telescopic.free_frobenius(verdict)
         record["presentation"] = [
             {"lhs": list(l), "rhs": list(r)}
             for l, r in telescopic.free_presentation(verdict).relations
         ]
-        record["betti"] = sorted(telescopic.free_betti(verdict))
+        record["betti"] = _betti_upto(telescopic.free_betti(verdict), bound)
     elif semigroup.embedding_dimension <= core.BETTI_ORACLE_MAX_EMBEDDING_DIM:
-        record["betti"] = sorted(semigroup.betti_elements(args.betti_bound))
+        record["betti"] = sorted(semigroup.betti_elements(bound))
     if len(gens) >= 2:
-        methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
+        # the reduction of gens starts by arranging its minimal generators
+        methods["reduction"] = telescopic._brauer_shockley(arrangement, built)
     record["frobenius"] = methods["oracle"]
     record["provenance"] = "oracle"
     record["methods"] = dict(sorted(methods.items()))
@@ -316,18 +337,19 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
     methods = {"closed-form": closed_frobenius, "reduction": telescopic.brauer_shockley_frobenius(gens)}
     record["frobenius"] = closed_frobenius
     record["provenance"] = "closed-form"
+    bound = _betti_bound(args)
     if record["embedding_dimension"] == len(gens):
         form = forms.cstar(n)
         record["arrangement"] = list(form.arrangement)
         record["cstar"] = list(form.cstars)
         record["free"] = True
         record["presentation"] = [{"lhs": list(l), "rhs": list(r)} for l, r in forms.presentation(n).relations]
-        record["betti"] = sorted(forms.betti(n))
+        record["betti"] = _betti_upto(forms.betti(n), bound)
         record["apery"] = _apery_summary(forms.apery(n), args.full)
     else:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate._REDUCED_EDIM_MSG
-        record["betti"] = sorted(semigroup.betti_elements(args.betti_bound))
+        record["betti"] = sorted(semigroup.betti_elements(bound))
         record["apery"] = _apery_summary(semigroup.apery(), args.full)
         methods["oracle"] = semigroup.frobenius()
     record["methods"] = dict(sorted(methods.items()))

@@ -15,7 +15,7 @@ only above it, where no table may be built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi.arith import checked_int64, gcd_list, validated_generators
@@ -259,12 +259,14 @@ class NumericalSemigroup:
         No factorization is enumerated.  The support classes of s match the
         connected components of the graph G_s on the generators: n_i is a
         vertex when s - n_i is in S, and n_i, n_j are joined when
-        s - n_i - n_j is in S.  A component without n_1 has a vertex n_i
+        s - n_i - n_j is in S (Rosales & García-Sánchez, *Numerical
+        Semigroups*, 2009, ch. 7).  A component without n_1 has a vertex n_i
         with s - n_i - n_1 outside S, so every Betti element is w + n_i for
-        some w in Ap(S, n_1) and i >= 2, and at most F + n_1 + n_e.  Only
-        those candidates are tested, each with O(e^2) Apery-table lookups.
-        The default bound F + n_{e-1} + n_e therefore misses no Betti
-        element of any semigroup; an explicit bound caps the result.
+        some w in Ap(S, n_1) and i >= 2, and at most F + n_1 + n_e.  Each
+        distinct candidate up to the bound is tested once, every membership
+        query a lookup x >= table[x % n_1] in the table of n_1.  The default
+        bound F + n_{e-1} + n_e therefore misses no Betti element of any
+        semigroup; an explicit bound caps the result.
         """
         e = self.embedding_dimension
         if e > BETTI_ORACLE_MAX_EMBEDDING_DIM:
@@ -281,31 +283,30 @@ class NumericalSemigroup:
         # both factorizations of a Betti element have length >= 2
         if bound < 2 * m:
             return set()
-        ap = self._smallest_apery()
-
-        def member(x: int) -> bool:
-            return x >= 0 and x >= ap[x % m]
-
+        table = self._smallest_apery()
         out: set[int] = set()
-        for w in ap:
-            for g in gens[1:]:
-                s = w + g
-                if s <= bound and s not in out and _support_graph_split(s, gens, member):
-                    out.add(s)
+        # table entries are >= 0, so a negative x is never counted in S
+        for s in {w + g for g in gens[1:] for w in table}:
+            if s > bound:
+                continue
+            rest = [g for g in gens if (x := s - g) >= table[x % m]]
+            if len(rest) < 2:
+                continue
+            # grow the component of one vertex; G_s is split iff it stops short
+            reached = [rest.pop()]
+            for a in reached:
+                t = s - a
+                i = 0
+                while i < len(rest):
+                    if (x := t - rest[i]) >= table[x % m]:
+                        reached.append(rest.pop(i))
+                    else:
+                        i += 1
+                if not rest:
+                    break
+            else:
+                out.add(s)
         return out
-
-
-def _support_graph_split(s: int, gens: tuple[int, ...], member: Callable[[int], bool]) -> bool:
-    """True iff the graph G_s described in ``betti_elements`` is disconnected."""
-    rest = [g for g in gens if member(s - g)]
-    stack = [rest.pop()]
-    while stack and rest:
-        a = stack.pop()
-        joined = [b for b in rest if member(s - a - b)]
-        for b in joined:
-            rest.remove(b)
-        stack.extend(joined)
-    return bool(rest)
 
 
 def _minimalize(seq: tuple[int, ...]) -> tuple[int, ...]:

@@ -174,7 +174,25 @@ def arranged_minimal(entries: Sequence[int], minimal: Sequence[int]) -> tuple[in
     return tuple(sorted(last, key=last.__getitem__))
 
 
-def _assert_minimal_arrangement(entries: tuple[int, ...]) -> None:
+# Semigroups one operation has built, by sorted minimal generators
+_Semigroups = dict[tuple[int, ...], NumericalSemigroup]
+
+
+def _semigroup(minimal: Sequence[int], built: _Semigroups) -> NumericalSemigroup:
+    """The semigroup of the minimal generating set ``minimal``: the one in
+    ``built``, or a new one added to it.  A caller that passes the same
+    ``built`` to several steps builds each semigroup, and so each Apery
+    table, once."""
+    key = tuple(sorted(minimal))
+    semigroup = built.get(key)
+    if semigroup is None:
+        semigroup = built[key] = NumericalSemigroup(key)
+    return semigroup
+
+
+def _assert_minimal_arrangement(entries: tuple[int, ...], built: _Semigroups) -> None:
+    if tuple(sorted(entries)) in built:
+        return  # an arrangement of a semigroup's minimal generators
     if len(set(entries)) != len(entries):
         raise ValueError("arrangement is not a minimal generating set (repeated entry)")
     minimal = _minimalize(entries)
@@ -196,18 +214,29 @@ def cstar_constants(
     telescopic, and j = n_1 / d_{i-1} always does.  The witness is one
     DFS call per position, over the scaled prefix.
     """
-    entries = validated_generators(arrangement)
+    return _cstar_constants(validated_generators(arrangement), {})
+
+
+def _cstar_constants(
+    entries: tuple[int, ...], built: _Semigroups
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``cstar_constants`` of validated ``entries``, sharing semigroups
+    with ``built`` (see ``_semigroup``).  An arrangement of the minimal
+    generators of a semigroup in ``built`` is not minimalized again.  The
+    scaled prefixes of a minimal arrangement are minimal: a representation
+    of one entry by the others, times d_{i-1}, would be one in the
+    arrangement."""
     chain = divide_chain(entries)
     if chain[-1] != 1:
         raise NotCoprimeError(chain[-1])
-    _assert_minimal_arrangement(entries)
+    _assert_minimal_arrangement(entries, built)
     cstars: list[int] = []
     reps: list[tuple[int, ...]] = []
     for n_i, scaled_prefix, target, q in _divide_walk(entries, chain):
-        semigroup = NumericalSemigroup(scaled_prefix)
+        prefix_semigroup = _semigroup(scaled_prefix, built)
         k_max = INT64_MAX // n_i  # the largest k with k * n_i in 64 bits
         for j in range(1, k_max // q + 1):
-            if semigroup.contains(j * target):
+            if prefix_semigroup.contains(j * target):
                 break
         else:
             checked_int64((k_max + 1) * n_i, "c* search value")  # always raises
@@ -224,7 +253,18 @@ def is_free(arrangement: Sequence[int]) -> FreeDecomposition | NotFree:
     of the c* constants, which come from Apery-table lookups (see
     ``cstar_constants``)."""
     entries = validated_generators(arrangement)
-    cstars, reps = cstar_constants(entries)
+    return _freeness(entries, *cstar_constants(entries))
+
+
+def _is_free(entries: tuple[int, ...], built: _Semigroups) -> FreeDecomposition | NotFree:
+    """``is_free`` of validated ``entries``, sharing semigroups with
+    ``built`` as ``_cstar_constants`` does."""
+    return _freeness(entries, *_cstar_constants(entries, built))
+
+
+def _freeness(
+    entries: tuple[int, ...], cstars: tuple[int, ...], reps: tuple[tuple[int, ...], ...]
+) -> FreeDecomposition | NotFree:
     product = math.prod(cstars)
     if product != entries[0]:
         return NotFree(entries, cstars, product)
@@ -326,11 +366,16 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
     d = gcd_list(entries)
     if d != 1:
         raise NotCoprimeError(d)
-    return _brauer_shockley(entries)
+    return _brauer_shockley(entries, {})
 
 
-def _brauer_shockley(entries: tuple[int, ...]) -> int:
-    work = arranged_minimal(entries, _minimalize(entries))
+def _brauer_shockley(entries: tuple[int, ...], built: _Semigroups) -> int:
+    """``brauer_shockley_frobenius`` of validated coprime ``entries``,
+    sharing semigroups with ``built`` (see ``_semigroup``): entries that
+    are the minimal generators of a semigroup in ``built`` are not
+    minimalized again, and the Apery fallback uses that semigroup's table."""
+    key = tuple(sorted(entries))
+    work = arranged_minimal(entries, key if key in built else _minimalize(entries))
     if len(work) == 1:
         # dropping preserves the overall gcd, so the survivor is 1
         if work[0] != 1:
@@ -341,10 +386,10 @@ def _brauer_shockley(entries: tuple[int, ...]) -> int:
         return checked_int64(a * b - a - b, "Frobenius number")
     d = gcd_list(work[:-1])
     if d > 1:
-        inner = _brauer_shockley(tuple(x // d for x in work[:-1]) + (work[-1],))
+        inner = _brauer_shockley(tuple(x // d for x in work[:-1]) + (work[-1],), built)
         return checked_int64(d * inner + (d - 1) * work[-1], "Frobenius number")
     d = gcd_list(work[1:])
     if d > 1:
-        inner = _brauer_shockley(tuple(x // d for x in work[1:]) + (work[0],))
+        inner = _brauer_shockley(tuple(x // d for x in work[1:]) + (work[0],), built)
         return checked_int64(d * inner + (d - 1) * work[0], "Frobenius number")
-    return NumericalSemigroup(work).frobenius()
+    return _semigroup(work, built).frobenius()

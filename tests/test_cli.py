@@ -145,6 +145,48 @@ def test_analyze_betti_bound_override(capsys):
     assert json.loads(out)["betti"] == [16, 18, 20]
 
 
+def test_analyze_betti_bound_caps_free_and_closed_form_betti(capsys):
+    # free inputs and full-dimension family members report a closed Betti
+    # set, which --betti-bound caps as it caps the scan of other inputs
+    cases = [
+        (("--gens", "6,10,15"), [30]),
+        (("--gens", "10,6,15"), [30]),
+        (("--triangular", "5"), [84, 105]),
+        (("--tetrahedral", "4"), [140, 168]),
+    ]
+    for argv, betti in cases:
+        code, out = run(capsys, "analyze", *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["betti"] == betti, argv
+        for bound in (min(betti) - 1, min(betti), max(betti), -1):
+            code, out = run(capsys, "analyze", *argv, "--betti-bound", str(bound), "--format", "json")
+            assert code == 0, (argv, bound)
+            assert json.loads(out)["betti"] == [b for b in betti if b <= bound], (argv, bound)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gens", "2,3"),  # free
+        ("--gens", "3,5,7"),  # not free: the Betti scan
+        ("--gens", "31,37,41,43,47,53,59"),  # not free, no Betti report above e = 6
+        ("--gens", "1"),
+        ("--triangular", "5"),  # closed forms
+        ("--triangular", "1"),  # below full embedding dimension: S = N
+    ],
+    ids=" ".join,
+)
+def test_analyze_betti_bound_outside_64_bits_exits_3_on_every_path(capsys, argv):
+    for bound in (arith.INT64_MAX + 1, arith.INT64_MIN - 1):
+        code = cli.main(["analyze", *argv, f"--betti-bound={bound}"])
+        captured = capsys.readouterr()
+        assert code == 3, (argv, bound)
+        assert captured.err == f"overflow: Betti scan bound exceeds the 64-bit integer range: {bound}\n"
+        assert captured.out == ""
+    for bound in (arith.INT64_MAX, arith.INT64_MIN):
+        assert cli.main(["analyze", *argv, f"--betti-bound={bound}"]) == 0, (argv, bound)
+        capsys.readouterr()
+
+
 def test_analyze_direction(capsys):
     code, out = run(capsys, "analyze", "--tetrahedral", "10", "--format", "json")
     assert code == 0
@@ -206,6 +248,33 @@ def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_ca
     assert len(seen) == len(set(seen)), seen
     assert len(seen) <= max_calls, seen
     assert all(m != arith.tetrahedral(n + 3) for m, _ in seen), seen
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        "41,53,67,79,97",  # not free: the reduction falls back to the n_1 table
+        "12,8,3,20",  # 12 and 20 redundant; the c* walk divides (8) by d_1 = 8
+        "10,6,15",  # free
+        # the reduction's inner semigroup (19, 35, 39) is the last c* prefix
+        "57,105,117,70",
+    ],
+)
+def test_analyze_gens_builds_each_apery_table_once(monkeypatch, capsys, gens):
+    seen = []
+    apery_levels = _kernels.apery_levels
+
+    def counted_apery_levels(m, generators):
+        seen.append((m, tuple(generators)))
+        return apery_levels(m, generators)
+
+    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    code, out = run(capsys, "analyze", "--gens", gens, "--format", "json")
+    assert code == 0 and json.loads(out)["agreement"] is True
+    minimal = tuple(json.loads(out)["minimal_generators"])
+    assert len(seen) == len(set(seen)), seen
+    # c* prefix tables may share the modulus n_1, over fewer generators
+    assert seen.count((minimal[0], minimal)) == 1, seen
 
 
 def _moved_residue_one(apery, sign):

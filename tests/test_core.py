@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numsemi import _kernels
@@ -199,6 +199,42 @@ def test_betti_elements_match_naive_scan():
             ]
             for bound in bounds:
                 assert S.betti_elements(bound) == {b for b in expected if b <= bound}, (gens, bound)
+
+
+# largest multiplicity drawn per entry count: the oracle enumerates every
+# factorization of every s up to the bound, about s**e vectors
+_BETTI_MULTIPLICITY_CAP = {2: 20, 3: 12, 4: 9, 5: 7}
+
+
+@st.composite
+def _betti_cases(draw):
+    """A semigroup from 2-5 entries below 3 n_1 and a bound: negative,
+    below 2 n_1, up to the default (or past it by at most n_e) or None."""
+    e = draw(st.integers(2, 5))
+    m = draw(st.integers(e, _BETTI_MULTIPLICITY_CAP[e]))
+    others = draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=e - 1, max_size=e - 1, unique=True))
+    gens = (m, *others)
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup(gens)
+    default = S.frobenius() + S.generators[-1] + S.generators[-2]
+    bound = draw(
+        st.one_of(
+            st.none(),
+            st.just(default),
+            st.integers(-50, -1),
+            st.integers(0, 2 * m - 1),
+            st.integers(2 * m, default + S.generators[-1]),
+        )
+    )
+    return S, default, bound
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_betti_cases())
+def test_betti_elements_match_naive_betti_for_every_bound(case):
+    S, default, bound = case
+    expected = naive_betti(S.generators, default if bound is None else bound)
+    assert S.betti_elements(bound) == expected
 
 
 def test_betti_elements_enumerate_no_factorizations(monkeypatch):
