@@ -287,15 +287,23 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
         "minimal_generators": list(semigroup.generators),
         "embedding_dimension": semigroup.embedding_dimension,
     }
-    telescopic_given = (
-        bool(telescopic.is_telescopic(gens)) if len(gens) >= 2 else True
-    )
-    record["telescopic_as_given"] = telescopic_given
     # the c* walk and the reduction share the semigroups they build, this
     # one first: its n_1 table is built once, and its minimal generators,
     # arranged as in the input, are not minimalized again
     built = {semigroup.generators: semigroup}
     verdict = telescopic._is_free(arrangement, built)
+    if len(gens) < 2:
+        telescopic_given = True
+    elif gens == arrangement:
+        # c*_i = q_i j_i, and j_i = 1 exactly where the input is telescopic
+        chain = telescopic.divide_chain(gens)
+        telescopic_given = all(
+            c == d_prev // d for c, d_prev, d in zip(verdict.cstars, chain, chain[1:])
+        )
+    else:
+        # a list with a redundant or repeated entry is judged as given
+        telescopic_given = bool(telescopic.is_telescopic(gens))
+    record["telescopic_as_given"] = telescopic_given
     record["arrangement"] = list(arrangement)
     record["free"] = bool(verdict)
     record["cstar"] = list(verdict.cstars)

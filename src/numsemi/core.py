@@ -262,51 +262,128 @@ class NumericalSemigroup:
         s - n_i - n_j is in S (Rosales & García-Sánchez, *Numerical
         Semigroups*, 2009, ch. 7).  A component without n_1 has a vertex n_i
         with s - n_i - n_1 outside S, so every Betti element is w + n_i for
-        some w in Ap(S, n_1) and i >= 2, and at most F + n_1 + n_e.  Each
-        distinct candidate up to the bound is tested once, every membership
-        query a lookup x >= table[x % n_1] in the table of n_1.  The default
-        bound F + n_{e-1} + n_e therefore misses no Betti element of any
-        semigroup; an explicit bound caps the result.
+        some w in Ap(S, n_1) and i >= 2, and at most F + n_1 + n_e.  The
+        default bound F + n_{e-1} + n_e therefore misses no Betti element of
+        any semigroup; an explicit bound caps the result.
+
+        Every membership query is answered by the table of n_1, and the
+        candidates up to top = min(bound, F + n_1 + n_e) are tested in one
+        of two ways.  With at most 32 bits per candidate, that is
+        top + 1 <= 32 n_1 (e - 1), all of them at once on Python ints used
+        as bitsets over 0..top (``_betti_bits``).  The bitsets grow with F,
+        not with n_1, so a sparse semigroup takes the loop that tests each
+        distinct candidate once instead (``_betti_loop``): the two cost the
+        same near 100 bits per candidate, and the loop's memory stays
+        O(n_1 (e - 1)) whatever F is.
         """
         e = self.embedding_dimension
         if e > BETTI_ORACLE_MAX_EMBEDDING_DIM:
             raise ValueError(
                 f"Betti oracle supports embedding dimension <= {BETTI_ORACLE_MAX_EMBEDDING_DIM}"
             )
-        if e == 1:
-            return set()
         gens = self.generators
         if bound is None:
+            if e == 1:
+                return set()
             bound = self.frobenius() + gens[-1] + gens[-2]
         checked_int64(bound, "Betti scan bound")
         m = gens[0]
-        # both factorizations of a Betti element have length >= 2
-        if bound < 2 * m:
+        # both factorizations of a Betti element have length >= 2; N has none
+        if e == 1 or bound < 2 * m:
             return set()
         table = self._smallest_apery()
-        out: set[int] = set()
-        # table entries are >= 0, so a negative x is never counted in S
-        for s in {w + g for g in gens[1:] for w in table}:
-            if s > bound:
-                continue
-            rest = [g for g in gens if (x := s - g) >= table[x % m]]
-            if len(rest) < 2:
-                continue
-            # grow the component of one vertex; G_s is split iff it stops short
-            reached = [rest.pop()]
-            for a in reached:
-                t = s - a
-                i = 0
-                while i < len(rest):
-                    if (x := t - rest[i]) >= table[x % m]:
-                        reached.append(rest.pop(i))
-                    else:
-                        i += 1
-                if not rest:
-                    break
-            else:
-                out.add(s)
-        return out
+        # no candidate w + n_i lies above max Ap(S, n_1) + n_e = F + n_1 + n_e
+        top = min(bound, self.frobenius() + m + gens[-1])
+        scan = _betti_bits if top + 1 <= 32 * m * (e - 1) else _betti_loop
+        return scan(gens, table, top)
+
+
+def _betti_bits(gens: tuple[int, ...], table: list[int], top: int) -> set[int]:
+    """Betti elements up to ``top`` of the semigroup with minimal generators
+    ``gens`` and Apery table ``table`` of n_1, every candidate at once.
+
+    Bit p of each int stands for p in 0..top.  A holds Ap(S, n_1), M the
+    OR of A << k n_1 over k >= 0, which is S, and C the OR of A << n_i over
+    i >= 2, the candidates.  V_j = (M << n_j) & C holds the s with vertex
+    n_j in G_s, and M << (n_j + n_k) the s whose G_s joins n_j and n_k.
+    Each s is reached from its last vertex; e - 1 rounds cover
+    every path, and a vertex left unreached marks s as split.
+    """
+    m = gens[0]
+    mask = (1 << (top + 1)) - 1
+    # Ap(S, n_1) as ASCII digits, position top first
+    digits = bytearray(b"0") * (top + 1)
+    for w in table:
+        if w <= top:
+            digits[top - w] = 49  # ord("1")
+    apery = int(digits, 2)
+    del digits
+    # S = Ap(S, n_1) + n_1 N: the shifts by k n_1 double at every step
+    member = apery
+    step = m
+    while step <= top:
+        member |= member << step
+        step <<= 1
+    member &= mask
+    cands = 0
+    for g in gens[1:]:
+        cands |= apery << g
+    cands &= mask
+    verts = [(member << g) & cands for g in gens]
+    e = len(gens)
+    reached = [0] * e
+    later = 0
+    for k in range(e - 1, -1, -1):
+        reached[k] = verts[k] & ~later
+        later |= verts[k]
+    for _ in range(e - 1):
+        for k in range(e):
+            r = reached[k]
+            # s - n_j - n_k in S puts s - n_k in S: a join never leaves V_k
+            for j in range(e):
+                if j != k:
+                    r |= reached[j] & (member << (gens[j] + gens[k]))
+            reached[k] = r
+    split = 0
+    for v, r in zip(verts, reached):
+        split |= v & ~r
+    # the set bits of split, low to high
+    bits = f"{split:b}"
+    out: set[int] = set()
+    i = bits.rfind("1")
+    while i >= 0:
+        out.add(len(bits) - 1 - i)
+        i = bits.rfind("1", 0, i)
+    return out
+
+
+def _betti_loop(gens: tuple[int, ...], table: list[int], top: int) -> set[int]:
+    """``_betti_bits`` one distinct candidate at a time, every membership
+    query a lookup x >= table[x % n_1]: memory O(n_1 (e - 1)) whatever F."""
+    m = gens[0]
+    out: set[int] = set()
+    # table entries are >= 0, so a negative x is never counted in S
+    for s in {w + g for g in gens[1:] for w in table}:
+        if s > top:
+            continue
+        rest = [g for g in gens if (x := s - g) >= table[x % m]]
+        if len(rest) < 2:
+            continue
+        # grow the component of one vertex; G_s is split iff it stops short
+        reached = [rest.pop()]
+        for a in reached:
+            t = s - a
+            i = 0
+            while i < len(rest):
+                if (x := t - rest[i]) >= table[x % m]:
+                    reached.append(rest.pop(i))
+                else:
+                    i += 1
+            if not rest:
+                break
+        else:
+            out.add(s)
+    return out
 
 
 def _minimalize(seq: tuple[int, ...]) -> tuple[int, ...]:

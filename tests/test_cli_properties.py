@@ -13,7 +13,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numsemi import cli
+from numsemi import cli, figurate, telescopic
+from numsemi.core import NumericalSemigroup
 
 from oracles import dijkstra_apery, dijkstra_cstars
 
@@ -53,6 +54,32 @@ def test_analyze_agrees_with_oracle(gens):
     assert record["frobenius"] == oracle_frobenius(gens)
     assert record["cstar"] == dijkstra_cstars(record["arrangement"])
     assert record["free"] == (math.prod(record["cstar"]) == record["arrangement"][0])
+
+
+@st.composite
+def telescopic_inputs(draw):
+    """A coprime list as its own minimal arrangement, reordered, or with a
+    redundant entry inserted; the triangular generators are telescopic."""
+    gens = draw(st.one_of(generator_lists(60), st.integers(2, 12).map(figurate.triangular_generators)))
+    assume(math.gcd(*gens) == 1)
+    minimal = list(telescopic.arranged_minimal(gens, NumericalSemigroup(gens).generators))
+    kind = draw(st.sampled_from(("minimal", "reordered", "non-minimal")))
+    if kind == "reordered":
+        return draw(st.permutations(minimal))
+    if kind == "non-minimal" and len(minimal) >= 2:
+        redundant = minimal[0] + minimal[-1]
+        assume(redundant not in minimal)
+        at = draw(st.integers(0, len(minimal)))
+        return minimal[:at] + [redundant] + minimal[at:]
+    return minimal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(telescopic_inputs())
+def test_analyze_telescopic_flag_matches_is_telescopic(gens):
+    assume(len(gens) >= 2)
+    record = run_json("analyze", "--gens", ",".join(map(str, gens)), "--format", "json")
+    assert record["telescopic_as_given"] == bool(telescopic.is_telescopic(gens))
 
 
 INT64_MAX = 2**63 - 1

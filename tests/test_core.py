@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numsemi import _kernels
+from numsemi import _kernels, core
 from numsemi.core import (
     AperySet,
     NumericalSemigroup,
@@ -157,6 +157,16 @@ def test_betti_oracle_examples():
     assert NumericalSemigroup((1,)).betti_elements() == set()
 
 
+def test_betti_bound_is_checked_for_embedding_dimension_one():
+    S = NumericalSemigroup((1,))
+    assert S.betti_elements() == set()
+    assert S.betti_elements(5) == set()
+    with pytest.raises(OverflowError, match="Betti scan bound"):
+        S.betti_elements(2**63)
+    with pytest.raises(OverflowError, match="Betti scan bound"):
+        NumericalSemigroup((2, 3)).betti_elements(2**63)
+
+
 def test_betti_oracle_embedding_dimension_guard():
     S = NumericalSemigroup((31, 37, 41, 43, 47, 53, 59))
     assert S.embedding_dimension == 7
@@ -207,15 +217,22 @@ _BETTI_MULTIPLICITY_CAP = {2: 20, 3: 12, 4: 9, 5: 7}
 
 
 @st.composite
-def _betti_cases(draw):
-    """A semigroup from 2-5 entries below 3 n_1 and a bound: negative,
-    below 2 n_1, up to the default (or past it by at most n_e) or None."""
+def _betti_semigroups(draw):
+    """A semigroup from 2-5 entries below 3 n_1."""
     e = draw(st.integers(2, 5))
     m = draw(st.integers(e, _BETTI_MULTIPLICITY_CAP[e]))
     others = draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=e - 1, max_size=e - 1, unique=True))
     gens = (m, *others)
     assume(math.gcd(*gens) == 1)
-    S = NumericalSemigroup(gens)
+    return NumericalSemigroup(gens)
+
+
+@st.composite
+def _betti_cases(draw):
+    """A semigroup from ``_betti_semigroups`` and a bound: negative, below
+    2 n_1, up to the default (or past it by at most n_e) or None."""
+    S = draw(_betti_semigroups())
+    m = S.multiplicity
     default = S.frobenius() + S.generators[-1] + S.generators[-2]
     bound = draw(
         st.one_of(
@@ -235,6 +252,43 @@ def test_betti_elements_match_naive_betti_for_every_bound(case):
     S, default, bound = case
     expected = naive_betti(S.generators, default if bound is None else bound)
     assert S.betti_elements(bound) == expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_betti_semigroups(), st.integers(1, 100))
+def test_betti_bitsets_and_loop_match_naive_betti(S, offset):
+    gens = S.generators
+    m = gens[0]
+    default = S.frobenius() + gens[-1] + gens[-2]
+    expected = naive_betti(gens, default)
+    table = S._smallest_apery()
+    for bound in (None, -offset, 2 * m - 1, 2 * m, default // 2, default, default + 17, 2**62):
+        b = default if bound is None else bound
+        want = {s for s in expected if s <= b}
+        assert S.betti_elements(bound) == want, bound
+        if b >= 0:
+            top = min(b, S.frobenius() + m + gens[-1])
+            assert core._betti_bits(gens, table, top) == want, bound
+            assert core._betti_loop(gens, table, top) == want, bound
+
+
+def test_betti_elements_switch_between_bitsets_and_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong Betti scan path")
+
+    # F = 146,880: top + 1 = 148,900 > 32 * 1006 * 3 = 96,576 bits, so the loop
+    sparse = NumericalSemigroup((1006, 1009, 1011, 1013))
+    dense = NumericalSemigroup((10, 15, 21))
+    bits, loop = core._betti_bits, core._betti_loop
+    monkeypatch.setattr(core, "_betti_bits", refuse)
+    sparse_betti = sparse.betti_elements()
+    monkeypatch.setattr(core, "_betti_bits", bits)
+    monkeypatch.setattr(core, "_betti_loop", refuse)
+    assert dense.betti_elements() == {30, 105}
+    gens = sparse.generators
+    top = sparse.frobenius() + gens[0] + gens[-1]
+    assert sparse_betti and bits(gens, sparse._smallest_apery(), top) == sparse_betti
+    assert loop(gens, sparse._smallest_apery(), top) == sparse_betti
 
 
 def test_betti_elements_enumerate_no_factorizations(monkeypatch):
