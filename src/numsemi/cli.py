@@ -180,8 +180,6 @@ def _frobenius_methods(args: argparse.Namespace) -> tuple[dict, dict[str, int]]:
         else:
             methods["oracle"] = core.frobenius_oracle(gens)
             primary = "oracle"
-        if args.cross_check:
-            methods["oracle"] = core.frobenius_oracle(gens)
     elif args.triangular is not None or args.tetrahedral is not None:
         kind = "triangular" if args.triangular is not None else "tetrahedral"
         n = getattr(args, kind)
@@ -193,24 +191,22 @@ def _frobenius_methods(args: argparse.Namespace) -> tuple[dict, dict[str, int]]:
             if kind == "triangular":
                 methods["cubic-form"] = figurate.baker_a(n)
             methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-            methods["oracle"] = core.frobenius_oracle(gens)
         primary = "closed-form"
     elif args.arith is not None:
         n, k = _parse_pair(args.arith)
         gens = figurate.arithmetic_generators(n, k)
         descriptor = {"kind": "arith", "n": n, "k": k, "generators": list(gens)}
         methods["closed-form"] = figurate.brauer_arithmetic_frobenius(n, k)
-        if args.cross_check:
-            methods["oracle"] = core.frobenius_oracle(gens)
         primary = "closed-form"
     else:
         n = args.choose4
         gens = figurate.choose4_generators(n)
         descriptor = {"kind": "choose4", "n": n, "generators": list(gens)}
         methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-        if args.cross_check:
-            methods["oracle"] = core.frobenius_oracle(gens)
         primary = "reduction"
+    if args.cross_check:
+        # every branch's last method, so errors keep their order
+        methods["oracle"] = core.frobenius_oracle(gens)
     descriptor["primary"] = primary
     return descriptor, methods
 
@@ -291,7 +287,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     # one first: its n_1 table is built once, and its minimal generators,
     # arranged as in the input, are not minimalized again
     built = {semigroup.generators: semigroup}
-    verdict = telescopic._is_free(arrangement, built)
+    verdict = telescopic.is_free(arrangement, _built=built)
     if len(gens) < 2:
         telescopic_given = True
     elif gens == arrangement:

@@ -414,31 +414,7 @@ def representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
     return _kernels.min_representation(x, seq)
 
 
-def contains(semigroup: NumericalSemigroup, x: int) -> bool:
-    return semigroup.contains(x)
-
-
-def apery_oracle(semigroup: NumericalSemigroup, m: int) -> AperySet:
-    return semigroup.apery(m)
-
-
 def frobenius_oracle(entries: Sequence[int]) -> int:
     """Brute-force Frobenius number via the Apery set of the smallest
     minimal generator: max(Ap(S, m)) - m."""
     return NumericalSemigroup(entries).frobenius()
-
-
-def factorizations(semigroup: NumericalSemigroup, s: int) -> list[tuple[int, ...]]:
-    return semigroup.factorizations(s)
-
-
-def rs_partition(semigroup: NumericalSemigroup, s: int) -> RsPartition:
-    return semigroup.rs_partition(s)
-
-
-def betti_oracle(semigroup: NumericalSemigroup, bound: int | None = None) -> set[int]:
-    return semigroup.betti_elements(bound)
-
-
-def embedding_dimension(semigroup: NumericalSemigroup) -> int:
-    return semigroup.embedding_dimension

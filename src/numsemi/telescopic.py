@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from numsemi import _kernels
@@ -121,13 +122,7 @@ class Presentation:
 
 def divide_chain(seq: Sequence[int]) -> tuple[int, ...]:
     """Prefix gcds d_i = gcd of the first i entries."""
-    entries = validated_generators(seq)
-    chain = []
-    acc = 0
-    for a in entries:
-        acc = math.gcd(acc, a)
-        chain.append(acc)
-    return tuple(chain)
+    return tuple(accumulate(validated_generators(seq), math.gcd))
 
 
 def _divide_walk(
@@ -155,7 +150,7 @@ def is_telescopic(seq: Sequence[int]) -> TelescopicCertificate | NotTelescopic:
         raise ValueError("telescopic analysis needs at least 2 entries")
     if len(set(entries)) != len(entries):
         raise ValueError("telescopic analysis rejects repeated entries")
-    chain = divide_chain(entries)
+    chain = tuple(accumulate(entries, math.gcd))
     if chain[-1] != 1:
         raise NotCoprimeError(chain[-1])
     witnesses = []
@@ -202,7 +197,7 @@ def _assert_minimal_arrangement(entries: tuple[int, ...], built: _Semigroups) ->
 
 
 def cstar_constants(
-    arrangement: Sequence[int],
+    arrangement: Sequence[int], *, _built: _Semigroups | None = None
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """For each position i >= 2, the least k >= 1 with k * n_i in the
     monoid generated by the prefix, plus the canonical witness vector.
@@ -213,20 +208,17 @@ def cstar_constants(
     desk-scale limit.  j = 1 works exactly where the arrangement is
     telescopic, and j = n_1 / d_{i-1} always does.  The witness is one
     DFS call per position, over the scaled prefix.
+
+    The scaled prefixes of a minimal arrangement are minimal: a
+    representation of one entry by the others, times d_{i-1}, would be one
+    in the arrangement.  So each prefix semigroup comes from ``_built``
+    (see ``_semigroup``), shared with the caller's other steps, and an
+    arrangement of the minimal generators of a semigroup in ``_built`` is
+    not minimalized again.
     """
-    return _cstar_constants(validated_generators(arrangement), {})
-
-
-def _cstar_constants(
-    entries: tuple[int, ...], built: _Semigroups
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``cstar_constants`` of validated ``entries``, sharing semigroups
-    with ``built`` (see ``_semigroup``).  An arrangement of the minimal
-    generators of a semigroup in ``built`` is not minimalized again.  The
-    scaled prefixes of a minimal arrangement are minimal: a representation
-    of one entry by the others, times d_{i-1}, would be one in the
-    arrangement."""
-    chain = divide_chain(entries)
+    entries = validated_generators(arrangement)
+    built = {} if _built is None else _built
+    chain = tuple(accumulate(entries, math.gcd))
     if chain[-1] != 1:
         raise NotCoprimeError(chain[-1])
     _assert_minimal_arrangement(entries, built)
@@ -248,23 +240,14 @@ def _cstar_constants(
     return tuple(cstars), tuple(reps)
 
 
-def is_free(arrangement: Sequence[int]) -> FreeDecomposition | NotFree:
-    """Freeness test for the given arrangement: n_1 must equal the product
-    of the c* constants, which come from Apery-table lookups (see
-    ``cstar_constants``)."""
-    entries = validated_generators(arrangement)
-    return _freeness(entries, *cstar_constants(entries))
-
-
-def _is_free(entries: tuple[int, ...], built: _Semigroups) -> FreeDecomposition | NotFree:
-    """``is_free`` of validated ``entries``, sharing semigroups with
-    ``built`` as ``_cstar_constants`` does."""
-    return _freeness(entries, *_cstar_constants(entries, built))
-
-
-def _freeness(
-    entries: tuple[int, ...], cstars: tuple[int, ...], reps: tuple[tuple[int, ...], ...]
+def is_free(
+    arrangement: Sequence[int], *, _built: _Semigroups | None = None
 ) -> FreeDecomposition | NotFree:
+    """Freeness test for the given arrangement: n_1 must equal the product
+    of the c* constants, which come from Apery-table lookups sharing
+    ``_built`` (see ``cstar_constants``)."""
+    entries = tuple(arrangement)  # validated by cstar_constants
+    cstars, reps = cstar_constants(entries, _built=_built)
     product = math.prod(cstars)
     if product != entries[0]:
         return NotFree(entries, cstars, product)

@@ -3,11 +3,11 @@
 Deliberately different algorithms from the package: reachability by
 forward boolean sieve (the package relaxes a residue graph), frobenius by
 downward scan with a self-certifying run of consecutive representable
-values, factorizations by full cartesian product (the package uses a
-pruned DFS), Apery tables by heap Dijkstra (the pure-Python kernel runs
-the round-robin algorithm), c* constants by lookups in those tables,
-canonical witnesses by a greedy walk over sieve tables (the package runs
-a backtracking DFS).
+values, factorizations by full cartesian product or built up from those
+of smaller values (the package uses a pruned DFS), Apery tables by heap
+Dijkstra (the pure-Python kernel runs the round-robin algorithm), c*
+constants by lookups in those tables, canonical witnesses by a greedy
+walk over sieve tables (the package runs a backtracking DFS).
 Keep these dumb; they are the ground truth.
 """
 
@@ -79,14 +79,30 @@ def naive_factorizations(gens: Sequence[int], s: int) -> set[tuple[int, ...]]:
     }
 
 
+def factorization_table(gens: Sequence[int], bound: int) -> list[set[tuple[int, ...]]]:
+    """Every coefficient vector of every s in 0..bound, built upwards:
+    the factorizations of s are those of s - g_i with one more g_i."""
+    e = len(gens)
+    facts: list[set[tuple[int, ...]]] = [{(0,) * e}]
+    for s in range(1, bound + 1):
+        facts.append({
+            f[:i] + (f[i] + 1,) + f[i + 1:]
+            for i, g in enumerate(gens)
+            if g <= s
+            for f in facts[s - g]
+        })
+    return facts
+
+
 def naive_betti(gens: Sequence[int], bound: int) -> set[int]:
     """Every s in 1..bound whose factorizations over the minimal generators
     ``gens`` fall into >= 2 classes, where two factorizations share a class
     iff a chain of factorizations with pairwise overlapping supports joins
     them."""
     out: set[int] = set()
+    facts = factorization_table(gens, bound)
     for s in range(1, bound + 1):
-        remaining = list(naive_factorizations(gens, s))
+        remaining = list(facts[s])
         if len(remaining) < 2:
             continue
         frontier = [remaining.pop()]

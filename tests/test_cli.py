@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from numsemi import _kernels, arith, cli, core, figurate
+from numsemi import _kernels, arith, cli, core, figurate, telescopic
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -275,6 +275,36 @@ def test_analyze_gens_builds_each_apery_table_once(monkeypatch, capsys, gens):
     assert len(seen) == len(set(seen)), seen
     # c* prefix tables may share the modulus n_1, over fewer generators
     assert seen.count((minimal[0], minimal)) == 1, seen
+
+
+@pytest.mark.parametrize("gens", ["41,53,67,79,97", "57,105,117,70"])
+def test_analyze_gens_runs_the_public_freeness_test_once(monkeypatch, capsys, gens):
+    calls = []
+    is_free = telescopic.is_free
+
+    def counted_is_free(*args, **kwargs):
+        calls.append(args)
+        return is_free(*args, **kwargs)
+
+    monkeypatch.setattr(telescopic, "is_free", counted_is_free)
+    code, out = run(capsys, "analyze", "--gens", gens, "--format", "json")
+    assert code == 0 and json.loads(out)["agreement"] is True
+    assert len(calls) == 1, calls
+
+
+def test_is_free_does_not_minimalize_a_built_semigroup(monkeypatch):
+    S = core.NumericalSemigroup((57, 105, 117, 70))
+    arrangements = (S.generators, S.generators[::-1])
+    expected = [telescopic.is_free(arr) for arr in arrangements]
+
+    def refuse(entries):
+        raise AssertionError(f"{entries} minimalized again")
+
+    monkeypatch.setattr(telescopic, "_minimalize", refuse)
+    for arr, verdict in zip(arrangements, expected):
+        assert telescopic.is_free(arr, _built={S.generators: S}) == verdict
+    with pytest.raises(AssertionError, match="minimalized again"):
+        telescopic.is_free(S.generators)
 
 
 def _moved_residue_one(apery, sign):

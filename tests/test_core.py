@@ -19,7 +19,13 @@ from numsemi.core import (
 )
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
-from oracles import naive_apery, naive_betti, naive_factorizations, naive_frobenius
+from oracles import (
+    factorization_table,
+    naive_apery,
+    naive_betti,
+    naive_factorizations,
+    naive_frobenius,
+)
 
 
 def test_minimal_generators_examples():
@@ -184,9 +190,17 @@ def _random_semigroup(rng: random.Random, e: int, top: int) -> NumericalSemigrou
                 return S
 
 
+@pytest.mark.parametrize("gens", [(1,), (2, 3), (3, 5, 7), (4, 6, 9, 10), (6, 10, 15), (5, 6, 7, 8, 9)])
+def test_factorization_table_matches_cartesian_product(gens):
+    facts = factorization_table(gens, 50)
+    assert len(facts) == 51
+    for s, vectors in enumerate(facts):
+        assert vectors == naive_factorizations(gens, s), (gens, s)
+
+
 def test_betti_elements_match_naive_scan():
     rng = random.Random(0xBE77)
-    # the cartesian-product oracle grows like s**e: fewer, smaller draws at large e
+    # the oracle builds every factorization up to the bound: fewer, smaller draws at large e
     for e, draws, top in ((2, 3, 60), (3, 3, 60), (4, 3, 60), (5, 2, 60), (6, 2, 40)):
         for _ in range(draws):
             S = _random_semigroup(rng, e, top)
