@@ -37,20 +37,11 @@ def gcd(a: int, b: int) -> int:
 
 
 def gcd_list(xs: Iterable[int]) -> int:
-    """Left-fold of gcd over a non-empty sequence."""
-    it = iter(xs)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("empty sequence") from None
-    for x in it:
-        acc = math.gcd(acc, x)
-        if acc == 1:
-            # gcd can only shrink; drain cheaply once it bottoms out
-            for _ in it:
-                pass
-            return 1
-    return acc
+    """gcd of a non-empty sequence, non-negative like ``math.gcd``."""
+    seq = tuple(xs)
+    if not seq:
+        raise ValueError("empty sequence")
+    return math.gcd(*seq)
 
 
 def binomial(n: int, k: int) -> int:

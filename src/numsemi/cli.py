@@ -398,7 +398,7 @@ def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
         return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
     if not fd:
         return "freeness product test failed"
-    forms.presentation(n)  # validates evaluation equality on construction
+    forms.presentation(n)  # a free decomposition: the c* multiply to n_1, each witness to c*_i n_i
     closed_betti = forms.betti(n)
     if closed_betti != telescopic.free_betti(fd):
         return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
@@ -438,7 +438,7 @@ def _check_tetrahedral(n: int) -> str | None:
         return f"frobenius mismatch: closed={closed} oracle={oracle} reduction={reduction}"
     forward = bool(telescopic.is_telescopic(gens))
     reverse = bool(telescopic.is_telescopic(gens[::-1]))
-    expect_forward = n % 6 in (0, 1, 2, 3)
+    expect_forward = figurate.tetrahedral_direction(n) is figurate.Direction.FORWARD
     if forward != expect_forward or reverse != (not expect_forward):
         return f"classification mismatch: forward={forward} reverse={reverse} n mod 6 = {n % 6}"
     return _check_structure("tetrahedral", n, gens, closed, semigroup, betti_oracle_max_n=8)

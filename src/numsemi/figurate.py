@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from numsemi.arith import binomial, checked_int64, require_positive, tetrahedral, triangular
 from numsemi.core import AperySet
 from numsemi.errors import InvariantViolation
-from numsemi.telescopic import NotTelescopic, Presentation, apery_box, is_telescopic
+from numsemi.telescopic import (
+    FreeDecomposition,
+    NotTelescopic,
+    Presentation,
+    apery_box,
+    free_presentation,
+    is_telescopic,
+)
 
 
 class Direction(enum.Enum):
@@ -276,101 +283,56 @@ def tetrahedral_cstar(n: int) -> CstarForm:
     if n < 4:
         raise ValueError(_REDUCED_EDIM_MSG)
     gens = tetrahedral_generators(n)
+    div = _exact_div
     r = n % 6
     if r == 0:
-        cstars = (_exact_div(n, 3, "c*"), n + 1, _exact_div(n + 2, 2, "c*"))
+        cstars = (div(n, 3, "c*"), n + 1, div(n + 2, 2, "c*"))
     elif r == 1:
-        cstars = (n, _exact_div(n + 1, 2, "c*"), _exact_div(n + 2, 3, "c*"))
+        cstars = (n, div(n + 1, 2, "c*"), div(n + 2, 3, "c*"))
     elif r == 2:
-        cstars = (n, _exact_div(n + 1, 3, "c*"), _exact_div(n + 2, 2, "c*"))
+        cstars = (n, div(n + 1, 3, "c*"), div(n + 2, 2, "c*"))
     elif r == 3:
-        cstars = (_exact_div(n, 3, "c*"), _exact_div(n + 1, 2, "c*"), n + 2)
+        cstars = (div(n, 3, "c*"), div(n + 1, 2, "c*"), n + 2)
     elif r == 4:
-        return CstarForm(
-            gens[::-1],
-            (_exact_div(n + 5, 3, "c*"), _exact_div(n + 4, 2, "c*"), n + 3),
-        )
+        cstars = (div(n + 5, 3, "c*"), div(n + 4, 2, "c*"), n + 3)
     else:
-        return CstarForm(
-            gens[::-1],
-            (n + 5, _exact_div(n + 4, 3, "c*"), _exact_div(n + 3, 2, "c*")),
-        )
-    return CstarForm(gens, cstars)
+        cstars = (n + 5, div(n + 4, 3, "c*"), div(n + 3, 2, "c*"))
+    return CstarForm(gens if r < 4 else gens[::-1], cstars)
 
 
 def triangular_presentation(n: int) -> Presentation:
-    """Minimal presentation of the triangular triple semigroup, as printed
-    relation pairs over the forward arrangement."""
-    require_positive(n, "n")
-    if n < 3:
-        raise ValueError(_REDUCED_EDIM_MSG)
-    gens = triangular_generators(n)
+    """Minimal presentation of the triangular triple semigroup over the
+    forward arrangement: c*_i x_i against the printed witness over
+    x_1..x_{i-1}, checked as a free decomposition."""
+    form = triangular_cstar(n)
     if n % 2:
-        relations = (
-            ((0, n, 0), (n + 2, 0, 0)),
-            ((0, 0, _exact_div(n + 1, 2, "presentation")), (0, _exact_div(n + 3, 2, "presentation"), 0)),
-        )
+        reps = ((n + 2,), (0, _exact_div(n + 3, 2, "presentation")))
     else:
-        relations = (
-            ((0, _exact_div(n, 2, "presentation"), 0), (_exact_div(n + 2, 2, "presentation"), 0, 0)),
-            ((0, 0, n + 1), (0, n + 3, 0)),
-        )
-    return Presentation(gens, relations)
+        reps = ((_exact_div(n + 2, 2, "presentation"),), (0, n + 3))
+    return free_presentation(FreeDecomposition(form.arrangement, form.cstars, reps))
 
 
 def tetrahedral_presentation(n: int) -> Presentation:
     """Minimal presentation of the tetrahedral quadruple semigroup over its
-    telescopic arrangement, one relation per position i = 2..4."""
-    require_positive(n, "n")
-    if n < 4:
-        raise ValueError(_REDUCED_EDIM_MSG)
-    gens = tetrahedral_generators(n)
-    r = n % 6
+    telescopic arrangement: c*_i x_i against the printed witness over
+    x_1..x_{i-1} for i = 2..4, checked as a free decomposition."""
+    form = tetrahedral_cstar(n)
     div = _exact_div
+    r = n % 6
     if r == 0:
-        arrangement = gens
-        relations = (
-            ((0, div(n, 3, "pres"), 0, 0), (div(n + 3, 3, "pres"), 0, 0, 0)),
-            ((0, 0, n + 1, 0), (0, n + 4, 0, 0)),
-            ((0, 0, 0, div(n + 2, 2, "pres")), (0, div(n + 4, 2, "pres"), 2, 0)),
-        )
+        reps = ((div(n + 3, 3, "pres"),), (0, n + 4), (0, div(n + 4, 2, "pres"), 2))
     elif r == 1:
-        arrangement = gens
-        relations = (
-            ((0, n, 0, 0), (n + 3, 0, 0, 0)),
-            ((0, 0, div(n + 1, 2, "pres"), 0), (div(n + 3, 2, "pres"), 2, 0, 0)),
-            ((0, 0, 0, div(n + 2, 3, "pres")), (0, 0, div(n + 5, 3, "pres"), 0)),
-        )
+        reps = ((n + 3,), (div(n + 3, 2, "pres"), 2), (0, 0, div(n + 5, 3, "pres")))
     elif r == 2:
-        arrangement = gens
-        relations = (
-            ((0, n, 0, 0), (n + 3, 0, 0, 0)),
-            ((0, 0, div(n + 1, 3, "pres"), 0), (0, div(n + 4, 3, "pres"), 0, 0)),
-            ((0, 0, 0, div(n + 2, 2, "pres")), (0, div(n + 4, 2, "pres"), 2, 0)),
-        )
+        reps = ((n + 3,), (0, div(n + 4, 3, "pres")), (0, div(n + 4, 2, "pres"), 2))
     elif r == 3:
-        arrangement = gens
-        relations = (
-            ((0, div(n, 3, "pres"), 0, 0), (div(n + 3, 3, "pres"), 0, 0, 0)),
-            ((0, 0, div(n + 1, 2, "pres"), 0), (div(n + 3, 2, "pres"), 2, 0, 0)),
-            ((0, 0, 0, n + 2), (0, 0, n + 5, 0)),
-        )
+        reps = ((div(n + 3, 3, "pres"),), (div(n + 3, 2, "pres"), 2), (0, 0, n + 5))
     elif r == 4:
         # reversed arrangement: positions run TH_{n+3}, TH_{n+2}, TH_{n+1}, TH_n
-        arrangement = gens[::-1]
-        relations = (
-            ((0, div(n + 5, 3, "pres"), 0, 0), (div(n + 2, 3, "pres"), 0, 0, 0)),
-            ((0, 0, div(n + 4, 2, "pres"), 0), (div(n + 2, 6, "pres"), div(n - 1, 3, "pres"), 0, 0)),
-            ((0, 0, 0, n + 3), (0, 0, n, 0)),
-        )
+        reps = ((div(n + 2, 3, "pres"),), (div(n + 2, 6, "pres"), div(n - 1, 3, "pres")), (0, 0, n))
     else:
-        arrangement = gens[::-1]
-        relations = (
-            ((0, n + 5, 0, 0), (n + 2, 0, 0, 0)),
-            ((0, 0, div(n + 4, 3, "pres"), 0), (0, div(n + 1, 3, "pres"), 0, 0)),
-            ((0, 0, 0, div(n + 3, 2, "pres")), (0, div(n + 1, 6, "pres"), div(n - 2, 3, "pres"), 0)),
-        )
-    return Presentation(arrangement, relations)
+        reps = ((n + 2,), (0, div(n + 1, 3, "pres")), (0, div(n + 1, 6, "pres"), div(n - 2, 3, "pres")))
+    return free_presentation(FreeDecomposition(form.arrangement, form.cstars, reps))
 
 
 def triangular_betti(n: int) -> set[int]:

@@ -36,6 +36,8 @@ def test_gcd_list_examples():
     assert gcd_list([6, 10, 15]) == 1
     assert gcd_list([20, 35, 56, 84]) == 1
     assert gcd_list([42]) == 42
+    assert gcd_list([-4]) == 4
+    assert gcd_list(iter([12, 18, 30])) == 6
 
 
 def test_gcd_list_empty():

@@ -354,6 +354,11 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
             "tetrahedral", 9, "tetrahedral_apery", lambda n: core.AperySet(1, (0,)),
             "Apery mismatch between closed form and oracle",
         ),
+        # the printed direction is checked against both telescopic tests
+        (
+            "tetrahedral", 9, "tetrahedral_direction", lambda n: figurate.Direction.REVERSE,
+            "classification mismatch: forward=True reverse=False n mod 6 = 3",
+        ),
     ]
     for family, n, form, patch, message in cases:
         with monkeypatch.context() as patched:

@@ -168,12 +168,19 @@ def test_triangular_presentation_examples():
 
 
 def test_tetrahedral_presentation_example():
-    pres6 = tetrahedral_presentation(6)
-    assert set(pres6.relations) == {
-        ((0, 2, 0, 0), (3, 0, 0, 0)),
-        ((0, 0, 7, 0), (0, 10, 0, 0)),
-        ((0, 0, 0, 4), (0, 5, 2, 0)),
+    # one n per residue class mod 6; n = 10 and 11 use the reversed arrangement
+    expected = {
+        6: {((0, 2, 0, 0), (3, 0, 0, 0)), ((0, 0, 7, 0), (0, 10, 0, 0)), ((0, 0, 0, 4), (0, 5, 2, 0))},
+        7: {((0, 7, 0, 0), (10, 0, 0, 0)), ((0, 0, 4, 0), (5, 2, 0, 0)), ((0, 0, 0, 3), (0, 0, 4, 0))},
+        8: {((0, 8, 0, 0), (11, 0, 0, 0)), ((0, 0, 3, 0), (0, 4, 0, 0)), ((0, 0, 0, 5), (0, 6, 2, 0))},
+        9: {((0, 3, 0, 0), (4, 0, 0, 0)), ((0, 0, 5, 0), (6, 2, 0, 0)), ((0, 0, 0, 11), (0, 0, 14, 0))},
+        10: {((0, 5, 0, 0), (4, 0, 0, 0)), ((0, 0, 7, 0), (2, 3, 0, 0)), ((0, 0, 0, 13), (0, 0, 10, 0))},
+        11: {((0, 16, 0, 0), (13, 0, 0, 0)), ((0, 0, 5, 0), (0, 4, 0, 0)), ((0, 0, 0, 7), (0, 2, 3, 0))},
     }
+    for n, relations in expected.items():
+        pres = tetrahedral_presentation(n)
+        assert pres.arrangement == tetrahedral_cstar(n).arrangement
+        assert set(pres.relations) == relations, n
 
 
 def test_presentations_have_e_minus_1_pairs_and_equal_sides():
