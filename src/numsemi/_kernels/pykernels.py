@@ -77,13 +77,15 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
                 else:
                     dist[r] = v
     limit = _INT64_MAX - arcs[-1]
-    if max(dist) > limit:
+    # a reachable entry is at most unset - arcs[-1], so none passes limit
+    # while unset fits; arcs coprime to m reach every entry
+    if unset > _INT64_MAX and max(dist) > limit:
         over = [d for d in dist if limit < d < unset]
         if over:
             raise OverflowError(
                 f"Apery element exceeds the 64-bit range near residue {min(over) % m}"
             )
-    if unset in dist:
+    if math.gcd(m, *arcs) > 1 and unset in dist:
         raise ValueError("unreachable residue class (generators not coprime)")
     return dist
 

@@ -117,7 +117,7 @@ def _json(value: object, pad: str = "") -> str:
     """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` for
     str-keyed records.  With ``indent`` set, ``json.dumps`` runs its
     pure-Python encoder, one generator step per list element; here a list
-    of plain ints, such as a full Apery set, is one join."""
+    of plain ints, such as a full Apery set, is one ``repr``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -135,10 +135,12 @@ def _json(value: object, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # exactly int: json writes the bool subclass as true/false
+        # exactly int: json writes the bool subclass as true/false; a list
+        # repr joins the reprs of its ints with ", "
+        sep = ",\n" + inner
         plain = set(map(type, value)) == {int}
-        items = map(int.__repr__, value) if plain else [_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        items = repr(list(value))[1:-1].replace(", ", sep) if plain else sep.join(_json(v, inner) for v in value)
+        return "[\n" + inner + items + "\n" + pad + "]"
     return json.dumps(value)
 
 
@@ -242,19 +244,19 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _apery_summary(ap: core.AperySet, full: bool) -> dict:
-    elements = ap.sorted_elements()
+def _apery_summary(anchor: int, elements: list[int], full: bool) -> dict:
+    """The ``apery`` record of Ap(S, anchor), given its elements sorted."""
     summary: dict = {
-        "anchor": ap.anchor,
-        "size": len(ap),
+        "anchor": anchor,
+        "size": len(elements),
         "max": elements[-1],
-        "frobenius_from_apery": elements[-1] - ap.anchor,
+        "frobenius_from_apery": elements[-1] - anchor,
     }
     if full or len(elements) <= 6:
-        summary["elements"] = list(elements)
+        summary["elements"] = elements
     else:
-        summary["smallest"] = list(elements[:3])
-        summary["largest"] = list(elements[-3:])
+        summary["smallest"] = elements[:3]
+        summary["largest"] = elements[-3:]
     return summary
 
 
@@ -321,7 +323,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     record["provenance"] = "oracle"
     record["methods"] = dict(sorted(methods.items()))
     record["agreement"] = len(set(methods.values())) == 1
-    record["apery"] = _apery_summary(semigroup.apery(), args.full)
+    record["apery"] = _apery_summary(semigroup.multiplicity, sorted(semigroup.apery()), args.full)
     return record
 
 
@@ -349,12 +351,15 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         record["free"] = True
         record["presentation"] = [{"lhs": list(l), "rhs": list(r)} for l, r in forms.presentation(n).relations]
         record["betti"] = _betti_upto(forms.betti(n), bound)
-        record["apery"] = _apery_summary(forms.apery(n), args.full)
+        # the box in ascending runs, which timsort merges
+        elements = telescopic.box_elements(form.arrangement, form.cstars)
+        elements.sort()
+        record["apery"] = _apery_summary(form.arrangement[0], elements, args.full)
     else:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate._REDUCED_EDIM_MSG
         record["betti"] = sorted(semigroup.betti_elements(bound))
-        record["apery"] = _apery_summary(semigroup.apery(), args.full)
+        record["apery"] = _apery_summary(semigroup.multiplicity, sorted(semigroup.apery()), args.full)
         methods["oracle"] = semigroup.frobenius()
     record["methods"] = dict(sorted(methods.items()))
     record["agreement"] = len(set(methods.values())) == 1

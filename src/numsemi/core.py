@@ -85,9 +85,6 @@ class AperySet:
     def frobenius(self) -> int:
         return self.max_element() - self.anchor
 
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_residue))
-
     def __len__(self) -> int:
         return self.anchor
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from numsemi import _kernels
@@ -261,14 +261,27 @@ def free_frobenius(fd: FreeDecomposition) -> int:
     return checked_int64(total - fd.arrangement[0], "free Frobenius number")
 
 
-def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
-    """Apery set of n_1 over a free arrangement: the box of all sums over
-    n_2..n_e with the coefficient of n_j below c*_j (Rosales &
-    García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
-    to n_1, and the n_1 sums must land in distinct residues mod n_1.
+def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
+    """True when the n_1 box sums (positive entries, c* product n_1) have
+    n_1 residues mod n_1, held as the bits of one int: coordinate j ORs the
+    set with its rotations by lam * n_j, doubling the run of lam covered."""
+    anchor = arrangement[0]
+    mask, seen = (1 << anchor) - 1, 1  # the empty sum: residue 0
+    for c, n in zip(cstars, arrangement[1:]):
+        span = 1  # seen holds the sums with lam_j < span
+        while span < c:
+            step = min(span, c - span)
+            k = step * n % anchor
+            seen |= ((seen << k) & mask) | (seen >> (anchor - k))
+            span += step
+    return seen.bit_count() == anchor
 
-    Here n_1 is the arrangement's first entry, the anchor, which need not
-    be the multiplicity: for reversed tetrahedral n it is TH_{n+3}."""
+
+def _box_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> list[Sequence[int]]:
+    """The box of ``apery_box`` after its checks: one run of the last
+    generator's multiples per base.  A box that fails the residue proof or
+    has a non-positive entry is filed one element at a time: that raises at
+    the first duplicate residue, or gives one run that ``AperySet`` checked."""
     anchor = arrangement[0]
     require_desk_scale(anchor)
     if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
@@ -277,21 +290,42 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
     bases = [0]
     for c, n in zip(cstars[:-1], arrangement[1:-1]):
         bases = [base + lam * n for base in bases for lam in range(c)]
-    # the last generator's multiples go straight into residue slots
-    steps = [lam * arrangement[-1] for lam in range(cstars[-1])] if cstars else [0]
+    n, c = (arrangement[-1], cstars[-1]) if cstars else (1, 1)
+    if min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars):
+        return [range(base, base + c * n, n) for base in bases]
     by_residue = [-1] * anchor
     for base in bases:
-        for step in steps:
-            element = base + step
+        for lam in range(c):
+            element = base + lam * n
             r = element % anchor
             if by_residue[r] >= 0:
                 raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
             by_residue[r] = element
-    if len(bases) * len(steps) == anchor and min(arrangement) >= 1:
-        # every residue filed once by its own element, all >= 0, the empty
-        # sum 0 under residue 0: what AperySet would check again
-        return AperySet._trusted(anchor, tuple(by_residue))
-    return AperySet(anchor, tuple(by_residue))
+    return [AperySet(anchor, tuple(by_residue)).by_residue]
+
+
+def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
+    """The elements of ``apery_box(arrangement, cstars)`` in box order (in
+    residue order for an arrangement with a non-positive entry)."""
+    return list(chain.from_iterable(_box_runs(arrangement, cstars)))
+
+
+def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
+    """Apery set of n_1 over a free arrangement: the box of all sums over
+    n_2..n_e with the coefficient of n_j below c*_j (Rosales &
+    García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
+    to n_1, and the n_1 sums must land in distinct residues mod n_1.
+
+    Here n_1 is the arrangement's first entry, the anchor, which need not
+    be the multiplicity: for reversed tetrahedral n it is TH_{n+3}."""
+    runs = _box_runs(arrangement, cstars)  # checks the anchor first
+    anchor = arrangement[0]
+    by_residue = [0] * anchor
+    for run in runs:
+        for element in run:
+            by_residue[element % anchor] = element
+    # every residue filed once, all >= 0, 0 under residue 0: proved or checked
+    return AperySet._trusted(anchor, tuple(by_residue))
 
 
 def free_apery(fd: FreeDecomposition) -> AperySet:

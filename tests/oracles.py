@@ -7,7 +7,9 @@ values, factorizations by full cartesian product or built up from those
 of smaller values (the package uses a pruned DFS), Apery tables by heap
 Dijkstra (the pure-Python kernel runs the round-robin algorithm), c*
 constants by lookups in those tables, canonical witnesses by a greedy
-walk over sieve tables (the package runs a backtracking DFS).
+walk over sieve tables (the package runs a backtracking DFS), free Apery
+boxes filed element by element with a duplicate check (the package proves
+the residues distinct on one bitset first).
 Keep these dumb; they are the ground truth.
 """
 
@@ -150,6 +152,27 @@ def dijkstra_apery(m: int, gens: Sequence[int]) -> list[int]:
     if any(d < 0 for d in dist):
         raise ValueError("unreachable residue class (generators not coprime)")
     return dist
+
+
+def filed_box(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
+    """The box {sum of lam_j * n_j : 0 <= lam_j < c*_j} over n_2..n_e, filed
+    by residue mod n_1 in box order with the first repeated residue raised:
+    the per-element loop the package's ``apery_box`` ran before its residue
+    proof, kept with its message.  Empty residues stay -1."""
+    anchor = arrangement[0]
+    bases = [0]
+    for c, n in zip(cstars[:-1], arrangement[1:-1]):
+        bases = [base + lam * n for base in bases for lam in range(c)]
+    steps = [lam * arrangement[-1] for lam in range(cstars[-1])] if cstars else [0]
+    by_residue = [-1] * anchor
+    for base in bases:
+        for step in steps:
+            element = base + step
+            r = element % anchor
+            if by_residue[r] >= 0:
+                raise ValueError(f"duplicate Apery residue {r}: broken free decomposition")
+            by_residue[r] = element
+    return by_residue
 
 
 def dijkstra_cstars(arrangement: Sequence[int]) -> list[int]:

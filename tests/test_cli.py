@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,26 @@ def test_analyze_full_dumps_apery(capsys):
     assert code == 0
     record = json.loads(out)
     assert len(record["apery"]["elements"]) == record["apery"]["size"] == 15
+
+
+@pytest.mark.parametrize(
+    "family, n, digest",
+    [
+        ("triangular", 20, "e9afd65ea686a9717b80e26a355c2afaf2911439060a564ffe872da51c2ebf08"),
+        # a reverse member: the anchor is TH_{n+3}, not the multiplicity
+        ("tetrahedral", 10, "ace4268d3693e4cb63fd50fa2cced0be2c465d6f42eba5139c31d56dccc3aa5f"),
+    ],
+)
+def test_analyze_family_full_lists_the_box_without_filing_it(capsys, monkeypatch, family, n, digest):
+    # the report sorts the box list: it files no Apery set by residue
+    def refuse(*args):
+        raise AssertionError("Apery set filed by residue")
+
+    monkeypatch.setattr(telescopic, "apery_box", refuse)
+    monkeypatch.setattr(core.AperySet, "_trusted", refuse)
+    code, out = run(capsys, "analyze", f"--{family}", str(n), "--full", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_triangular(capsys):

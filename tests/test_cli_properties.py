@@ -8,6 +8,8 @@ from __future__ import annotations
 import io
 import json
 import math
+
+import pytest
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import assume, given, settings
@@ -105,4 +107,13 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
+    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(5,), [-1], [2**63, -(10**30)], [1, True], (3, -4, 2**70), {"a": [(7, 8), [0]]}],
+)
+def test_json_writer_int_lists(value):
+    # a one-tuple's repr ends in ",)", and a bool among ints stays true
     assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -55,6 +55,20 @@ def test_apery_overflow_guard():
     assert pykernels.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
 
 
+def test_apery_overflow_scan_boundary():
+    # 49 * G is exactly 2**63 - 1, so the largest entry 48 * G plus the
+    # arc G still fits; with G + 1 the entry 48 * (G + 1) does not
+    G = (2**63 - 1) // 49
+    assert math.gcd(G, 49) == 1
+    table = pykernels.apery_levels(49, (G,))
+    assert table == dijkstra_apery(49, (G,))
+    assert max(table) == 48 * G == 2**63 - 1 - G
+    with pytest.raises(OverflowError, match="near residue 31$"):
+        pykernels.apery_levels(49, (G + 1,))
+    with pytest.raises(OverflowError, match="near residue 31$"):
+        dijkstra_apery(49, (G + 1,))
+
+
 def test_round_robin_matches_heap_dijkstra_on_verify_moduli():
     # verify builds the oracle table mod n_1 and mod the free arrangement's
     # anchor (TH_{n+3} when the tetrahedral arrangement is reversed).

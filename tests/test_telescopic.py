@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
@@ -17,8 +18,10 @@ from numsemi.telescopic import (
     FreeDecomposition,
     NotFree,
     NotTelescopic,
+    _residues_distinct,
     apery_box,
     arranged_minimal,
+    box_elements,
     brauer_shockley_frobenius,
     cstar_constants,
     divide_chain,
@@ -31,7 +34,7 @@ from numsemi.telescopic import (
     johnson_reduce,
 )
 
-from oracles import canonical_witness, dijkstra_cstars, reachable_table
+from oracles import canonical_witness, dijkstra_cstars, filed_box, reachable_table
 
 
 def test_divide_chain_examples():
@@ -231,6 +234,70 @@ def test_free_apery_overflow():
     fd = FreeDecomposition((3, 2**63 - 4), (3,), ((2**63 - 4,),))
     with pytest.raises(OverflowError):
         free_apery(fd)
+    with pytest.raises(OverflowError):
+        box_elements(fd.arrangement, fd.cstars)
+
+
+def _box(arrangement, cstars):
+    """Every sum over n_2..n_e with the coefficient of n_j below c*_j."""
+    coefficients = itertools.product(*(range(c) for c in cstars))
+    return [sum(lam * n for lam, n in zip(lams, arrangement[1:])) for lams in coefficients]
+
+
+def test_box_elements_match_the_apery_set_on_random_free_arrangements():
+    rng = random.Random(20171)
+    checked = 0
+    while checked < 80:
+        gens = rng.sample(range(2, 90), rng.randint(2, 4))
+        if math.gcd(*gens) != 1:
+            continue
+        S = NumericalSemigroup(gens)
+        arrangement = list(S.generators)
+        rng.shuffle(arrangement)
+        fd = is_free(arrangement)
+        if not fd:
+            continue
+        checked += 1
+        anchor = fd.arrangement[0]
+        elements = box_elements(fd.arrangement, fd.cstars)
+        assert elements == _box(fd.arrangement, fd.cstars)  # box order
+        assert sorted(elements) == sorted(apery_box(fd.arrangement, fd.cstars).by_residue)
+        assert sorted(elements) == sorted(S.apery(anchor).by_residue)
+        assert apery_box(fd.arrangement, fd.cstars).by_residue == tuple(filed_box(fd.arrangement, fd.cstars))
+        assert _residues_distinct(fd.arrangement, fd.cstars)
+
+
+@st.composite
+def product_boxes(draw):
+    """Boxes whose c* multiply to the anchor n_1 (1 to 3 c* up to 6) over
+    positive generators below 200: most of them repeat a residue."""
+    cstars = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=200), min_size=len(cstars), max_size=len(cstars)))
+    return (math.prod(cstars), *gens), tuple(cstars)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(product_boxes())
+@example(((4, 2), (4,)))  # duplicate residue 0
+@example(((6, 1, 7), (2, 3)))  # duplicate residue 1: 7 and 1
+@example(((6, 10, 15), (3, 2)))  # distinct: the free arrangement
+def test_box_checks_match_the_per_element_filing(box):
+    arrangement, cstars = box
+    anchor = arrangement[0]
+    distinct = len({w % anchor for w in _box(arrangement, cstars)}) == anchor
+    assert _residues_distinct(arrangement, cstars) == distinct
+    try:
+        by_residue = filed_box(arrangement, cstars)
+    except ValueError as exc:
+        assert not distinct
+        for build in (apery_box, box_elements):
+            with pytest.raises(InvariantViolation) as raised:
+                build(arrangement, cstars)
+            assert str(raised.value) == str(exc)
+    else:
+        assert distinct
+        assert apery_box(arrangement, cstars).by_residue == tuple(by_residue)
+        assert sorted(box_elements(arrangement, cstars)) == sorted(by_residue)
 
 
 def test_free_presentation_examples():
