@@ -159,7 +159,7 @@ def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict] | None =
 def _closed_forms(kind: str) -> SimpleNamespace:
     """The family's closed forms, looked up on ``figurate`` when a command
     runs, so a patched or wrapped form is the one that is called."""
-    names = ("generators", "direction", "cstar", "presentation", "betti", "apery")
+    names = ("generators", "direction", "cstar", "presentation", "betti")
     return SimpleNamespace(
         frobenius=getattr(figurate, f"frobenius_{kind}"),
         **{name: getattr(figurate, f"{kind}_{name}") for name in names},
@@ -407,10 +407,10 @@ def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
     closed_betti = forms.betti(n)
     if closed_betti != telescopic.free_betti(fd):
         return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
-    ap_closed = forms.apery(n)
-    if not semigroup.is_apery_set(ap_closed):
+    # the closed box of c* against the oracle's genus, with no box built
+    if not telescopic._box_is_apery(semigroup, form.arrangement, form.cstars):
         return "Apery mismatch between closed form and oracle"
-    if ap_closed.frobenius() != closed:
+    if telescopic.free_frobenius(fd) != closed:
         return "max(Apery) - anchor disagrees with the Frobenius number"
     if n <= betti_oracle_max_n and closed_betti != semigroup.betti_elements():
         return "Betti oracle disagrees with the closed form"

@@ -70,15 +70,6 @@ class AperySet:
                     f"Apery element {el} is negative" if el < 0 else f"Apery element {el} filed under residue {r}"
                 )
 
-    @classmethod
-    def _trusted(cls, anchor: int, by_residue: tuple[int, ...]) -> AperySet:
-        """A set whose producer has already proved every invariant
-        ``__post_init__`` checks; skips that O(anchor) pass."""
-        ap = object.__new__(cls)
-        object.__setattr__(ap, "anchor", anchor)
-        object.__setattr__(ap, "by_residue", by_residue)
-        return ap
-
     def max_element(self) -> int:
         return max(self.by_residue)
 
@@ -186,33 +177,18 @@ class NumericalSemigroup:
             table = _kernels.apery_levels(m, self.generators)
         return AperySet(m, tuple(table))
 
-    def is_apery_set(self, ap: AperySet) -> bool:
-        """True iff ``ap`` is Ap(S, ap.anchor), answered from the table of
-        the smallest generator n_1 with no table mod the anchor.
-
-        An ``AperySet`` files one element per residue mod its anchor a, and
-        S + a ⊆ S, so it is Ap(S, a) exactly when a is in S, every w is in
-        S and no w - a is.  For a = n_1 that is equality with the table.
-        """
-        table = self._smallest_apery()
-        m = self.generators[0]
-        a = ap.anchor
-        if a == m:
-            return list(ap.by_residue) == table
-        if a < table[a % m]:
-            return False
-        for w in ap.by_residue:
-            # table entries are >= 0, so a negative w - a is never counted in S
-            if w < table[w % m] or w - a >= table[(w - a) % m]:
-                return False
-        return True
-
     def frobenius(self) -> int:
         """Largest integer outside the semigroup; -1 for the whole of N."""
         if self._frobenius is None:
             ap = self._smallest_apery()
             self._frobenius = max(ap) - self.generators[0]
         return self._frobenius
+
+    def genus(self) -> int:
+        """Number of gaps, by Selmer's formula on the table of n_1:
+        the sum of Ap(S, n_1) is n_1 g + n_1 (n_1 - 1) / 2."""
+        m = self.generators[0]
+        return (2 * sum(self._smallest_apery()) - m * (m - 1)) // (2 * m)
 
     def factorizations(self, s: int) -> list[tuple[int, ...]]:
         """All coefficient vectors over the minimal generators evaluating to s."""

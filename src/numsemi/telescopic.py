@@ -277,6 +277,25 @@ def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> boo
     return seen.bit_count() == anchor
 
 
+def _box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
+    """True when the box of ``apery_box(arrangement, cstars)`` is
+    Ap(semigroup, a), a = n_1, with no box built.  Positive c* with product
+    a over entries in S give a sums in S; with distinct residues each is at
+    least the Apery element of its residue, so the box is Ap(S, a) exactly
+    when the two sums agree.  The box is symmetric about top / 2, top =
+    sum (c*_j - 1) n_j, so its sum is a top / 2; by Selmer's identity that
+    of Ap(S, a) is a g + a (a - 1) / 2, g the genus (Rosales &
+    García-Sánchez 2009, ch. 1).  They agree exactly when top - a = 2 g - 1."""
+    anchor = arrangement[0]
+    require_desk_scale(anchor)
+    if min(cstars, default=1) < 1 or math.prod(cstars) != anchor:
+        return False
+    if not all(semigroup.contains(n) for n in arrangement):
+        return False
+    top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
+    return _residues_distinct(arrangement, cstars) and top - anchor == 2 * semigroup.genus() - 1
+
+
 def _box_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> list[Sequence[int]]:
     """The box of ``apery_box`` after its checks: one run of the last
     generator's multiples per base.  A box that fails the residue proof or
@@ -324,8 +343,7 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
     for run in runs:
         for element in run:
             by_residue[element % anchor] = element
-    # every residue filed once, all >= 0, 0 under residue 0: proved or checked
-    return AperySet._trusted(anchor, tuple(by_residue))
+    return AperySet(anchor, tuple(by_residue))
 
 
 def free_apery(fd: FreeDecomposition) -> AperySet:

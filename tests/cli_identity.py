@@ -8,7 +8,8 @@ The argvs are the perfbench operation lists of the three workloads at
 ``--seconds 20`` for that seed (415, 580 and 220 operations), then the
 family sweep (``analyze`` with and without ``--full`` and ``frobenius``
 with and without ``--cross-check`` for n = 0..30 of both families, ``table``
-over 1..200 and ``verify`` over 1..20, each in text, json and csv; 756
+over 1..200 and ``verify`` over 1..20, each in text, json and csv, and the
+json ``verify`` sweeps tetrahedral 4..120 and triangular 3..400; 758
 argvs), followed by ``ARGVS`` from ``tests/test_cli_golden.py``.  One line
 per argv, in a fixed order, so two checkouts that must not differ in CLI
 output compare with one ``diff`` of their dumps.  Not a ``test_*`` file:
@@ -47,6 +48,8 @@ def family_sweep() -> list[tuple[str, ...]]:
         for family in FAMILIES:
             for fmt in FORMATS:
                 out.append((command, "--family", family, "--range", span, "--format", fmt))
+    for family, span in (("tetrahedral", "4..120"), ("triangular", "3..400")):
+        out.append(("verify", "--family", family, "--range", span, "--format", "json"))
     return out
 
 

@@ -9,7 +9,8 @@ Dijkstra (the pure-Python kernel runs the round-robin algorithm), c*
 constants by lookups in those tables, canonical witnesses by a greedy
 walk over sieve tables (the package runs a backtracking DFS), free Apery
 boxes filed element by element with a duplicate check (the package proves
-the residues distinct on one bitset first).
+the residues distinct on one bitset first), the genus by counting sieve
+gaps (the package applies Selmer's formula to its Apery table).
 Keep these dumb; they are the ground truth.
 """
 
@@ -53,6 +54,12 @@ def naive_frobenius(gens: Sequence[int]) -> int:
                         return y
                 return -1
         limit *= 2
+
+
+def naive_genus(gens: Sequence[int]) -> int:
+    """Number of gaps: the values up to the Frobenius number the sieve
+    does not reach."""
+    return reachable_table(gens, max(naive_frobenius(gens), 0)).count(0)
 
 
 def naive_apery(gens: Sequence[int], m: int) -> list[int]:

@@ -215,7 +215,6 @@ def test_analyze_family_full_lists_the_box_without_filing_it(capsys, monkeypatch
         raise AssertionError("Apery set filed by residue")
 
     monkeypatch.setattr(telescopic, "apery_box", refuse)
-    monkeypatch.setattr(core.AperySet, "_trusted", refuse)
     code, out = run(capsys, "analyze", f"--{family}", str(n), "--full", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -328,67 +327,72 @@ def test_is_free_does_not_minimalize_a_built_semigroup(monkeypatch):
         telescopic.is_free(S.generators)
 
 
-def _moved_residue_one(apery, sign):
-    """The closed-form Apery set with its residue-1 element moved by sign * anchor."""
-
-    def patched(n):
-        ap = apery(n)
-        by_residue = list(ap.by_residue)
-        by_residue[1] += sign * ap.anchor
-        return core.AperySet(ap.anchor, tuple(by_residue))
-
-    return patched
-
-
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
-    # one wrong closed form per check; each is looked up when the command runs
+    # one wrong form per check; each is looked up when the command runs
+    genus = core.NumericalSemigroup.genus
+    apery_mismatch = "Apery mismatch between closed form and oracle"
     cases = [
         (
-            "triangular", 3, "frobenius_triangular", lambda n: 0,
+            "triangular", 3, figurate, "frobenius_triangular", lambda n: 0,
             "frobenius mismatch: closed=0 cubic=29 oracle=29 reduction=29",
         ),
         (
-            "triangular", 5, "triangular_cstar",
+            "triangular", 5, figurate, "triangular_cstar",
             lambda n: figurate.CstarForm(figurate.triangular_generators(n), (1, 1)),
             "c* mismatch: closed=(1, 1) generic=(5, 3)",
         ),
         (
-            "tetrahedral", 10, "tetrahedral_betti", lambda n: {0},
+            "tetrahedral", 10, figurate, "tetrahedral_betti", lambda n: {0},
             "Betti mismatch: closed={0} free={2002, 1820, 2860}",
         ),
-        (
-            "tetrahedral", 11, "tetrahedral_apery", _moved_residue_one(figurate.tetrahedral_apery, 1),
-            "Apery mismatch between closed form and oracle",
-        ),
-        # forward anchor n_1: compared with the oracle's table
-        (
-            "triangular", 6, "triangular_apery", _moved_residue_one(figurate.triangular_apery, 1),
-            "Apery mismatch between closed form and oracle",
-        ),
-        # reverse anchor TH_{n+3}: the lowered element is not in S
-        (
-            "tetrahedral", 10, "tetrahedral_apery", _moved_residue_one(figurate.tetrahedral_apery, -1),
-            "Apery mismatch between closed form and oracle",
-        ),
-        # an anchor outside S is a mismatch too, not a usage error
-        (
-            "tetrahedral", 9, "tetrahedral_apery", lambda n: core.AperySet(1, (0,)),
-            "Apery mismatch between closed form and oracle",
-        ),
+        # Selmer's identity fails for a genus one too large: at the forward
+        # anchor n_1 and at the reverse anchor TH_{n+3}
+        ("triangular", 6, core.NumericalSemigroup, "genus", lambda self: genus(self) + 1, apery_mismatch),
+        ("tetrahedral", 10, core.NumericalSemigroup, "genus", lambda self: genus(self) + 1, apery_mismatch),
+        # a box with a repeated residue is no Apery set
+        ("tetrahedral", 11, telescopic, "_residues_distinct", lambda arrangement, cstars: False, apery_mismatch),
         # the printed direction is checked against both telescopic tests
         (
-            "tetrahedral", 9, "tetrahedral_direction", lambda n: figurate.Direction.REVERSE,
+            "tetrahedral", 9, figurate, "tetrahedral_direction", lambda n: figurate.Direction.REVERSE,
             "classification mismatch: forward=True reverse=False n mod 6 = 3",
         ),
     ]
-    for family, n, form, patch, message in cases:
+    for family, n, owner, name, patch, message in cases:
         with monkeypatch.context() as patched:
-            patched.setattr(figurate, form, patch)
+            patched.setattr(owner, name, patch)
             code = cli.main(["verify", "--family", family, "--range", f"{n}..{n}"])
         captured = capsys.readouterr()
-        assert code == 1, form
+        assert code == 1, name
         assert f"n={n} FAIL {message}" in captured.out
         assert captured.err == f"first counterexample: n={n}: {message}\n"
+
+
+def test_verify_builds_no_apery_box(capsys, monkeypatch):
+    # the closed box is checked by Selmer's identity on the oracle's table
+    def refuse(*args):
+        raise AssertionError("Apery box built")
+
+    for owner, name in (
+        (telescopic, "apery_box"),
+        (telescopic, "box_elements"),
+        (figurate, "triangular_apery"),
+        (figurate, "tetrahedral_apery"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    code, out = run(capsys, "verify", "--family", "triangular", "--range", "3..12")
+    assert code == 0 and "10/10 pass" in out
+    code, out = run(capsys, "verify", "--family", "tetrahedral", "--range", "4..12")
+    assert code == 0 and "9/9 pass" in out
+
+
+def test_verify_refuses_an_anchor_above_the_materialize_limit(capsys, monkeypatch):
+    # tetrahedral 4 is reverse: n_1 = 20 is within the limit, the anchor TH_7 = 84 is not
+    monkeypatch.setattr(core, "APERY_MATERIALIZE_LIMIT", 50)
+    code = cli.main(["verify", "--family", "tetrahedral", "--range", "4..4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: Apery set of size 84 exceeds the desk-scale limit (50)\n"
+    assert captured.out == ""
 
 
 def test_analyze_family_reports_the_patched_closed_form(capsys, monkeypatch):

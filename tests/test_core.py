@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi import _kernels, core
@@ -25,6 +25,7 @@ from oracles import (
     naive_betti,
     naive_factorizations,
     naive_frobenius,
+    naive_genus,
 )
 
 
@@ -419,28 +420,13 @@ def test_factorization_soundness(s, data):
     assert len(facts) == len(set(facts))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4, unique=True),
-    st.data(),
-)
-def test_is_apery_set_accepts_exactly_the_apery_set(gens, data):
-    if math.gcd(*gens) != 1:
-        gens.append(1 + max(gens))
-    S = NumericalSemigroup(tuple(gens))
-    m, frob = S.multiplicity, S.frobenius()
-    # n_1, the other generators and elements that are no generator
-    a = data.draw(st.sampled_from([x for x in range(m, frob + 2 * m) if S.contains(x)]), label="anchor")
-    ap = S.apery(a)
-    assert S.is_apery_set(ap)
-    # w + a has w - a = w in S; w - a is below the least element w of its class
-    r = data.draw(st.integers(min_value=1, max_value=a - 1), label="residue")
-    moved = list(ap.by_residue)
-    moved[r] += -a if data.draw(st.booleans(), label="lower") and moved[r] >= a else a
-    assert not S.is_apery_set(AperySet(a, tuple(moved)))
-    # least elements of S in each class mod a gap pass every element test
-    gap = data.draw(st.sampled_from([x for x in range(1, frob + 1) if not S.contains(x)]), label="gap")
-    assert not S.is_apery_set(AperySet(gap, tuple(naive_apery(S.generators, gap))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=5))
+@example([1, 2])  # N: no gap
+@example([6, 10, 15])  # free: g = (F + 1) / 2 = 15
+def test_genus_matches_the_gap_count(gens):
+    assume(math.gcd(*gens) == 1)
+    assert NumericalSemigroup(gens).genus() == naive_genus(gens)
 
 
 def test_apery_set_validation():

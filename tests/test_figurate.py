@@ -284,20 +284,20 @@ def test_apery_closed_vs_oracle():
         assert ap == S.apery(ap.anchor), n
 
 
-def test_closed_form_boxes_pass_the_checked_constructor(monkeypatch):
+def test_closed_form_boxes_pass_the_checked_constructor():
     # tetrahedral n mod 6 in {4, 5} are reverse boxes over TH_{n+3}
     boxes = [triangular_apery(n) for n in range(3, 81)] + [tetrahedral_apery(n) for n in range(4, 41)]
     assert {ap.anchor for ap in boxes} >= {tetrahedral_generators(n)[-1] for n in (4, 5, 10, 11)}
     for ap in boxes:
         assert AperySet(ap.anchor, ap.by_residue) == ap
-    # the box proves these invariants itself and skips the second pass
 
-    def refuse(self):
-        raise AssertionError("box revalidated")
 
-    monkeypatch.setattr(AperySet, "__post_init__", refuse)
-    assert triangular_apery(9).frobenius() == frobenius_triangular(9)
-    assert tetrahedral_apery(10).frobenius() == frobenius_tetrahedral(10)
+def test_family_semigroups_are_symmetric():
+    # free semigroups are symmetric: F = 2 g - 1
+    for n in range(1, 41):
+        assert 2 * NumericalSemigroup(triangular_generators(n)).genus() - 1 == frobenius_triangular(n), n
+    for n in range(1, 31):
+        assert 2 * NumericalSemigroup(tetrahedral_generators(n)).genus() - 1 == frobenius_tetrahedral(n), n
 
 
 def test_apery_frobenius_cross_check():

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
 from numsemi.errors import InvariantViolation, NotCoprimeError
-from numsemi.figurate import tetrahedral_generators, triangular_generators
+from numsemi.figurate import tetrahedral_cstar, tetrahedral_generators, triangular_generators
 from numsemi.telescopic import (
     FreeDecomposition,
     NotFree,
     NotTelescopic,
+    _box_is_apery,
     _residues_distinct,
     apery_box,
     arranged_minimal,
@@ -228,6 +229,8 @@ def test_apery_box_refuses_anchors_above_the_materialize_limit():
     anchor = APERY_MATERIALIZE_LIMIT + 1
     with pytest.raises(ValueError, match="desk-scale"):
         apery_box((anchor, 2), (anchor,))
+    with pytest.raises(ValueError, match="desk-scale"):
+        _box_is_apery(NumericalSemigroup((2, 3)), (anchor, 2), (anchor,))
 
 
 def test_free_apery_overflow():
@@ -265,6 +268,38 @@ def test_box_elements_match_the_apery_set_on_random_free_arrangements():
         assert sorted(elements) == sorted(S.apery(anchor).by_residue)
         assert apery_box(fd.arrangement, fd.cstars).by_residue == tuple(filed_box(fd.arrangement, fd.cstars))
         assert _residues_distinct(fd.arrangement, fd.cstars)
+        assert _box_is_apery(S, fd.arrangement, fd.cstars)
+
+
+def test_box_is_apery_accepts_the_reverse_tetrahedral_boxes():
+    # n mod 6 in {4, 5}: the anchor is TH_{n+3}, not the multiplicity
+    for n in (10, 11):
+        gens = tetrahedral_generators(n)
+        form = tetrahedral_cstar(n)
+        assert form.arrangement[0] == gens[-1]
+        assert _box_is_apery(NumericalSemigroup(gens), form.arrangement, form.cstars)
+
+
+def test_box_is_apery_rejects_what_is_no_apery_set():
+    S = NumericalSemigroup(triangular_generators(6))  # <21, 28, 36>, c* (3, 7)
+    assert _box_is_apery(S, (21, 28, 36), (3, 7))
+    # n_2 moved to n_2 + a: the box lies in S and its residues stay distinct
+    assert _residues_distinct((21, 49, 36), (3, 7))
+    assert not _box_is_apery(S, (21, 49, 36), (3, 7))
+    # c* reversed: the residues collide
+    assert not _box_is_apery(S, (21, 28, 36), (7, 3))
+    # 6 = 2 * 3 is in the box twice although top - a = 15 - 8 = 2 g - 1
+    assert not _residues_distinct((8, 3, 6), (4, 2))
+    assert not _box_is_apery(NumericalSemigroup((3, 5)), (8, 3, 6), (4, 2))
+    # 4 is a gap of <3, 5, 7>, which has the genus 3 of <3, 4>
+    assert _box_is_apery(NumericalSemigroup((3, 4)), (3, 4), (3,))
+    assert not _box_is_apery(NumericalSemigroup((3, 5, 7)), (3, 4), (3,))
+    # c* (3, 2) multiply to 6, not 5: the six sums cover every residue mod 5
+    # and top - a = 12 - 5 = 2 g - 1
+    assert _residues_distinct((5, 3, 6), (3, 2))
+    assert not _box_is_apery(NumericalSemigroup((3, 5)), (5, 3, 6), (3, 2))
+    # c* (-1, -1) multiply to 1 but leave the box empty
+    assert not _box_is_apery(NumericalSemigroup((2, 3)), (2, 2, 2, 11), (-1, -1, 2))
 
 
 @st.composite
