@@ -4,14 +4,15 @@
 (Algorithmica 2007), O(e * m) with no heap.  Vectors are enumerated in
 one canonical order everywhere: ascending by coefficient of the last
 generator, then the second-to-last, and so on (the first generator's
-coefficient is forced by divisibility).  The first vector in that order
-is the canonical witness returned by ``min_representation``.
+coefficient is forced by divisibility).  One DFS, ``_walk``, walks them:
+``min_representation`` (and so ``is_representable``) stops at the first
+vector, the canonical witness, and ``factorizations_of`` collects them all.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 _INT64_MAX = 2**63 - 1
 
@@ -90,8 +91,24 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     return dist
 
 
-def _prefix_gcds(gens: Sequence[int]) -> list[int]:
-    pg = []
+def _first(coeffs: list[int]) -> bool:
+    """Stop the walk at the first vector."""
+    return True
+
+
+def _walk(
+    x: int, gens: Sequence[int], visit: Callable[[list[int]], bool | None]
+) -> list[int] | None:
+    """The coefficient DFS: hand each representation of ``x`` over ``gens``
+    to ``visit`` in canonical order, until ``visit`` returns true.  Returns
+    the vector it stopped at (the DFS's own list), or None."""
+    if not gens:
+        raise ValueError("generators must be non-empty")
+    if x < 0:
+        return None
+    if x > _INT64_MAX:
+        raise OverflowError("value too large for the 64-bit kernel domain")
+    pg = []  # prefix gcds: rem must be a multiple of pg[i] to be reached
     acc = 0
     for g in gens:
         if g < 1:
@@ -100,31 +117,14 @@ def _prefix_gcds(gens: Sequence[int]) -> list[int]:
             raise OverflowError("generator too large for the 64-bit kernel domain")
         acc = math.gcd(acc, g)
         pg.append(acc)
-    return pg
+    coeffs = [0] * len(gens)
 
-
-def min_representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
-    """Canonical representation of ``x`` over ``gens``, or None.
-
-    First solution in the canonical enumeration order, i.e. the one with
-    the smallest coefficients on the latest generators.
-    """
-    if not gens:
-        raise ValueError("generators must be non-empty")
-    if x < 0:
-        return None
-    if x > _INT64_MAX:
-        raise OverflowError("value too large for the 64-bit kernel domain")
-    e = len(gens)
-    pg = _prefix_gcds(gens)
-    coeffs = [0] * e
-
-    def rec(i: int, rem: int) -> bool:
+    def rec(i: int, rem: int) -> bool | None:
         if rem % pg[i]:
             return False
         if i == 0:
             coeffs[0] = rem // gens[0]
-            return True
+            return visit(coeffs)
         g = gens[i]
         for c in range(rem // g + 1):
             coeffs[i] = c
@@ -133,7 +133,17 @@ def min_representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
         coeffs[i] = 0
         return False
 
-    return tuple(coeffs) if rec(e - 1, x) else None
+    return coeffs if rec(len(gens) - 1, x) else None
+
+
+def min_representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
+    """Canonical representation of ``x`` over ``gens``, or None.
+
+    First solution in the canonical enumeration order, i.e. the one with
+    the smallest coefficients on the latest generators.
+    """
+    coeffs = _walk(x, gens, _first)
+    return None if coeffs is None else tuple(coeffs)
 
 
 def is_representable(x: int, gens: Sequence[int]) -> bool:
@@ -143,29 +153,6 @@ def is_representable(x: int, gens: Sequence[int]) -> bool:
 
 def factorizations_of(x: int, gens: Sequence[int]) -> list[tuple[int, ...]]:
     """All representations of ``x`` over ``gens`` in canonical order."""
-    if not gens:
-        raise ValueError("generators must be non-empty")
-    if x < 0:
-        return []
-    if x > _INT64_MAX:
-        raise OverflowError("value too large for the 64-bit kernel domain")
-    e = len(gens)
-    pg = _prefix_gcds(gens)
-    coeffs = [0] * e
     out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int) -> None:
-        if rem % pg[i]:
-            return
-        if i == 0:
-            coeffs[0] = rem // gens[0]
-            out.append(tuple(coeffs))
-            return
-        g = gens[i]
-        for c in range(rem // g + 1):
-            coeffs[i] = c
-            rec(i - 1, rem - c * g)
-        coeffs[i] = 0
-
-    rec(e - 1, x)
+    _walk(x, gens, lambda coeffs: out.append(tuple(coeffs)))
     return out

@@ -314,7 +314,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
             for l, r in telescopic.free_presentation(verdict).relations
         ]
         record["betti"] = _betti_upto(telescopic.free_betti(verdict), bound)
-    elif semigroup.embedding_dimension <= core.BETTI_ORACLE_MAX_EMBEDDING_DIM:
+    else:
         record["betti"] = sorted(semigroup.betti_elements(bound))
     if len(gens) >= 2:
         # the reduction of gens starts by arranging its minimal generators

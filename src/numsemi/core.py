@@ -24,10 +24,6 @@ from numsemi.errors import InvariantViolation, NotCoprimeError
 # Largest Apery set (one int per residue) the package materializes.
 APERY_MATERIALIZE_LIMIT = 10_000_000
 
-# betti_elements refuses larger embedding dimensions; the Apery-set method
-# has no such limit, but lifting it changes what ``analyze`` reports.
-BETTI_ORACLE_MAX_EMBEDDING_DIM = 6
-
 
 def require_desk_scale(size: int) -> None:
     """Refuse an Apery set of more than ``APERY_MATERIALIZE_LIMIT`` elements."""
@@ -250,10 +246,6 @@ class NumericalSemigroup:
         O(n_1 (e - 1)) whatever F is.
         """
         e = self.embedding_dimension
-        if e > BETTI_ORACLE_MAX_EMBEDDING_DIM:
-            raise ValueError(
-                f"Betti oracle supports embedding dimension <= {BETTI_ORACLE_MAX_EMBEDDING_DIM}"
-            )
         gens = self.generators
         if bound is None:
             if e == 1:

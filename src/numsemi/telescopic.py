@@ -296,11 +296,9 @@ def _box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cst
     return _residues_distinct(arrangement, cstars) and top - anchor == 2 * semigroup.genus() - 1
 
 
-def _box_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> list[Sequence[int]]:
-    """The box of ``apery_box`` after its checks: one run of the last
-    generator's multiples per base.  A box that fails the residue proof or
-    has a non-positive entry is filed one element at a time: that raises at
-    the first duplicate residue, or gives one run that ``AperySet`` checked."""
+def _box(arrangement: Sequence[int], cstars: Sequence[int]) -> tuple[list[int], int, int]:
+    """``apery_box``'s checks, then its box: each sum over n_2..n_{e-1} (a
+    base) plus lam n_e for 0 <= lam < c*_e, as the bases, n_e and c*_e."""
     anchor = arrangement[0]
     require_desk_scale(anchor)
     if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
@@ -309,9 +307,12 @@ def _box_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> list[Sequenc
     bases = [0]
     for c, n in zip(cstars[:-1], arrangement[1:-1]):
         bases = [base + lam * n for base in bases for lam in range(c)]
-    n, c = (arrangement[-1], cstars[-1]) if cstars else (1, 1)
-    if min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars):
-        return [range(base, base + c * n, n) for base in bases]
+    return (bases, arrangement[-1], cstars[-1]) if cstars else (bases, 1, 1)
+
+
+def _filed_box(anchor: int, bases: list[int], n: int, c: int) -> AperySet:
+    """The box of ``_box`` filed by residue in box order: raises at the
+    first repeated residue, then builds the checked ``AperySet``."""
     by_residue = [-1] * anchor
     for base in bases:
         for lam in range(c):
@@ -320,13 +321,17 @@ def _box_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> list[Sequenc
             if by_residue[r] >= 0:
                 raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
             by_residue[r] = element
-    return [AperySet(anchor, tuple(by_residue)).by_residue]
+    return AperySet(anchor, tuple(by_residue))
 
 
 def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
-    """The elements of ``apery_box(arrangement, cstars)`` in box order (in
-    residue order for an arrangement with a non-positive entry)."""
-    return list(chain.from_iterable(_box_runs(arrangement, cstars)))
+    """The elements of ``apery_box(arrangement, cstars)`` in box order, one
+    run of n_e's multiples per base; a box that fails the residue proof or
+    has a non-positive entry is filed as ``apery_box`` files it."""
+    bases, n, c = _box(arrangement, cstars)
+    if min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars):
+        return list(chain.from_iterable([range(base, base + c * n, n) for base in bases]))
+    return list(_filed_box(arrangement[0], bases, n, c).by_residue)
 
 
 def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
@@ -337,13 +342,7 @@ def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
 
     Here n_1 is the arrangement's first entry, the anchor, which need not
     be the multiplicity: for reversed tetrahedral n it is TH_{n+3}."""
-    runs = _box_runs(arrangement, cstars)  # checks the anchor first
-    anchor = arrangement[0]
-    by_residue = [0] * anchor
-    for run in runs:
-        for element in run:
-            by_residue[element % anchor] = element
-    return AperySet(anchor, tuple(by_residue))
+    return _filed_box(arrangement[0], *_box(arrangement, cstars))
 
 
 def free_apery(fd: FreeDecomposition) -> AperySet:

@@ -163,9 +163,8 @@ def dijkstra_apery(m: int, gens: Sequence[int]) -> list[int]:
 
 def filed_box(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
     """The box {sum of lam_j * n_j : 0 <= lam_j < c*_j} over n_2..n_e, filed
-    by residue mod n_1 in box order with the first repeated residue raised:
-    the per-element loop the package's ``apery_box`` ran before its residue
-    proof, kept with its message.  Empty residues stay -1."""
+    by residue mod n_1 in box order with the first repeated residue raised
+    under the message ``apery_box`` gives.  Empty residues stay -1."""
     anchor = arrangement[0]
     bases = [0]
     for c, n in zip(cstars[:-1], arrangement[1:-1]):

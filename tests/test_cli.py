@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,3 +498,20 @@ def test_analyze_above_two_hundred_thousand_answers_from_tables(capsys):
     cross = json.loads(out)
     assert cross["agreement"] is True
     assert record["frobenius"] == cross["frobenius"] == 11251462526
+
+
+def test_module_entry_point_exit_codes():
+    # ``python -m numsemi.cli`` runs ``cli.entry()``, which exits with main's code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for args, code in (
+        (("--triangular", "3"), 0),
+        (("--gens", "4,6"), 2),
+        (("--triangular", "3000000"), 3),
+        (("--triangular", "3", "--out", "/nonexistent/dir/x"), 4),
+    ):
+        argv = [sys.executable, "-m", "numsemi.cli", "frobenius", *args]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, (args, done.stderr)
+        if code == 0:
+            assert "frobenius: 29" in done.stdout.splitlines()

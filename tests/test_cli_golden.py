@@ -59,6 +59,8 @@ ARGVS: tuple[tuple[str, ...], ...] = (
     ("analyze", "--gens", "10,6,15,9", "--format", "csv"),
     ("analyze", "--gens", "84,56,35,20", "--full", "--format", "json"),
     ("analyze", "--gens", "41,53,67,79,97"),
+    ("analyze", "--gens", "31,37,41,43,47,53,59"),
+    ("analyze", "--gens", "31,37,41,43,47,53,59", "--format", "json"),
     ("analyze", "--gens", "101,113,127,131", "--format", "json"),
     ("analyze", "--gens", "1,5"),
     ("analyze", "--gens", "7"),

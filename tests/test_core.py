@@ -174,13 +174,6 @@ def test_betti_bound_is_checked_for_embedding_dimension_one():
         NumericalSemigroup((2, 3)).betti_elements(2**63)
 
 
-def test_betti_oracle_embedding_dimension_guard():
-    S = NumericalSemigroup((31, 37, 41, 43, 47, 53, 59))
-    assert S.embedding_dimension == 7
-    with pytest.raises(ValueError):
-        S.betti_elements()
-
-
 def _random_semigroup(rng: random.Random, e: int, top: int) -> NumericalSemigroup:
     """A random semigroup of embedding dimension e with generators <= top."""
     while True:
@@ -202,7 +195,7 @@ def test_factorization_table_matches_cartesian_product(gens):
 def test_betti_elements_match_naive_scan():
     rng = random.Random(0xBE77)
     # the oracle builds every factorization up to the bound: fewer, smaller draws at large e
-    for e, draws, top in ((2, 3, 60), (3, 3, 60), (4, 3, 60), (5, 2, 60), (6, 2, 40)):
+    for e, draws, top in ((2, 3, 60), (3, 3, 60), (4, 3, 60), (5, 2, 60), (6, 2, 40), (7, 4, 25), (8, 4, 25)):
         for _ in range(draws):
             S = _random_semigroup(rng, e, top)
             gens = S.generators

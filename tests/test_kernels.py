@@ -1,6 +1,7 @@
-"""The kernels' contracts: canonical enumeration order, Apery tables
-checked against the heap Dijkstra the round robin replaced and against a
-brute-force sweep, overflow and input-domain errors."""
+"""The kernels' contracts: canonical enumeration order, shared by the
+three kernels of the coefficient DFS, Apery tables checked against the
+heap Dijkstra the round robin replaced and against a brute-force sweep,
+overflow and input-domain errors."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from numsemi._kernels import BACKEND, pykernels
 from numsemi.figurate import (
@@ -27,6 +30,43 @@ def test_backend_constant():
 def test_canonical_enumeration_order():
     assert pykernels.factorizations_of(30, (6, 10, 15)) == [(5, 0, 0), (0, 3, 0), (0, 0, 2)]
     assert pykernels.min_representation(30, (6, 10)) == (5, 0)
+
+
+DFS_KERNELS = (pykernels.min_representation, pykernels.is_representable, pykernels.factorizations_of)
+
+
+def _raised(kernel, x, gens) -> tuple[type, str]:
+    with pytest.raises((ValueError, OverflowError)) as raised:
+        kernel(x, gens)
+    return type(raised.value), str(raised.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=-5, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=-3, max_value=0),
+)
+def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
+    gens = tuple(gens)
+    # the DFS tries every coefficient of n_2..n_e: keep that space small
+    assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
+    facts = pykernels.factorizations_of(x, gens)
+    assert facts == sorted(set(facts), key=lambda v: v[::-1])  # canonical order
+    assert all(sum(c * g for c, g in zip(v, gens)) == x for v in facts)
+    assert pykernels.min_representation(x, gens) == next(iter(facts), None)
+    assert pykernels.is_representable(x, gens) == bool(facts)
+    # the same refusal from each kernel; a negative x is only refused
+    # for an empty generator list, so the other cases take x >= 0
+    y, at = max(x, 0), min(at, len(gens))
+    for args in (
+        (x, ()),
+        (y, gens[:at] + (bad,) + gens[at:]),
+        (y, gens[:at] + (2**63,) + gens[at:]),
+        (2**63 + y, gens),
+    ):
+        assert len({_raised(kernel, *args) for kernel in DFS_KERNELS}) == 1, args
 
 
 def test_apery_trivial_modulus():

@@ -223,6 +223,13 @@ def test_apery_box_falls_back_to_the_checked_constructor():
     # negative c* multiply to the anchor but leave the box empty
     with pytest.raises(InvariantViolation, match="Apery element for residue 0 must be 0"):
         apery_box((6, 10, 15), (-2, -3))
+    # a zero entry with c* 1 leaves the box of the free <6, 10, 15>: filed, in residue order
+    assert apery_box((6, 0, 10, 15), (1, 3, 2)).by_residue == (0, 25, 20, 15, 10, 35)
+    assert box_elements((6, 0, 10, 15), (1, 3, 2)) == [0, 25, 20, 15, 10, 35]
+    # with c* 2 on the zero entry, 0 is in the box twice
+    for build in (apery_box, box_elements):
+        with pytest.raises(InvariantViolation, match="^duplicate Apery residue 0: broken free decomposition$"):
+            build((6, 0, 10, 15), (2, 3, 1))
 
 
 def test_apery_box_refuses_anchors_above_the_materialize_limit():
