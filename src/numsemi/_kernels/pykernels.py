@@ -1,7 +1,10 @@
 """Pure-Python kernels for the hot inner loops.
 
 ``apery_levels`` is the round-robin algorithm of Böcker & Lipták
-(Algorithmica 2007), O(e * m) with no heap.  Vectors are enumerated in
+(Algorithmica 2007) run over the subgroup of residues reached so far:
+each generator closes the reached cells under its least multiple that
+maps them to themselves, then fills the cosets it adds with no compare.
+O(e * m) with no heap.  Vectors are enumerated in
 one canonical order everywhere: ascending by coefficient of the last
 generator, then the second-to-last, and so on (the first generator's
 coefficient is forced by divisibility).  One DFS, ``_walk``, walks them:
@@ -23,14 +26,23 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     Shortest paths on the residue graph (nodes 0..m-1, one arc
     r -> (r+g) mod m of weight g per generator g) by the round-robin
     algorithm of Böcker & Lipták, "A fast and simple algorithm for the
-    money changing problem", Algorithmica 48 (2007).  Generators are
-    added one at a time in ascending order.  Generator g splits Z_m into
-    gcd(m, g) cycles of step g; starting each cycle at its least entry
-    (which g cannot improve) and relaxing once around it leaves every
-    entry least over the generators added so far.  Cost O(e * m), no
-    heap.
+    money changing problem", Algorithmica 48 (2007), over the subgroup
+    of residues reached so far.  Generators are added one at a time in
+    ascending order.  Before generator g the reached residues are the
+    multiples of d (at first d = m: only 0 is reached); let e = gcd(d, g)
+    and k = d / e.  The arc k g, a multiple of d, splits the m / d
+    reached cells into cycles; starting each cycle at its least entry
+    (which k g cannot improve) and relaxing once around it leaves every
+    reached entry least over the generators added so far.  Then, for
+    0 < j < k and h a multiple of d, the least entry at h + j g is
+    table[h] + j g, set with no compare: any other path to it holds k
+    more copies of g, which the closing pass folded into table[h].  The
+    k - 1 new cosets are filled one stride slice each when m / d >= k,
+    else by k - 1 steps of g from each reached h.  Then d = e.  Cost
+    O(e * m), no heap, with the compare on only m / d cells per arc.
 
-    Requires every class to be reachable (holds whenever gcd(gens) == 1).
+    Requires every class to be reachable (holds whenever gcd(gens) == 1);
+    d > 1 after the last generator leaves some residue unreachable.
     Raises ``OverflowError`` when an entry plus the largest arc leaves
     the signed 64-bit range, naming the residue of the least such entry,
     the first one Dijkstra would meet.
@@ -52,31 +64,51 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     # A least entry is a path of at most m - 1 arcs, so it stays below this.
     unset = m * arcs[-1]
     dist = [unset] * m
-    # The first generator reaches only the cycle through 0.
-    g = arcs[0]
-    for k in range(m // math.gcd(m, g)):
-        dist[k * g % m] = k * g
-    for g in arcs[1:]:
-        cycles = math.gcd(m, g)
-        step = g % m
-        for p in range(cycles):
-            # A generator coprime to m walks the whole table: take its
-            # minimum in place rather than copy it.
-            v = min(dist[p::cycles]) if cycles > 1 else min(dist)
-            if v == unset:
-                continue
-            # Every entry is congruent to its residue, so v sits at v % m.
-            r = v % m
-            for _ in range(m // cycles - 1):
-                r += step
-                if r >= m:
-                    r -= m
-                v += g
-                w = dist[r]
-                if w < v:
-                    v = w
-                else:
+    dist[0] = 0
+    d = m  # the residues reached so far are the multiples of d
+    for g in arcs:
+        e = math.gcd(d, g)
+        k = d // e
+        arc = k * g
+        step = arc % m
+        if step:
+            cycles = math.gcd(m, step)
+            for p in range(0, cycles, d):
+                # An arc coprime to m walks the whole table: take its
+                # minimum in place rather than copy it.
+                v = min(dist[p::cycles]) if cycles > 1 else min(dist)
+                # Every entry is congruent to its residue, so v sits at v % m.
+                r = v % m
+                for _ in range(m // cycles - 1):
+                    r += step
+                    if r >= m:
+                        r -= m
+                    v += arc
+                    w = dist[r]
+                    if w < v:
+                        v = w
+                    else:
+                        dist[r] = v
+        reached = m // d
+        if 1 < k <= reached:
+            sub = dist[::d]
+            for j in range(1, k):
+                # cell i d + j g is slot (i + b) mod (m / d) of dist[a::d]
+                b, a = divmod(j * g % m, d)
+                w = j * g
+                dist[a::d] = [x + w for x in sub[reached - b :]] + [x + w for x in sub[: reached - b]]
+        elif k > 1:
+            step = g % m
+            for h in range(0, m, d):
+                v = dist[h]
+                r = h
+                for _ in range(k - 1):
+                    r += step
+                    if r >= m:
+                        r -= m
+                    v += g
                     dist[r] = v
+        d = e
     limit = _INT64_MAX - arcs[-1]
     # a reachable entry is at most unset - arcs[-1], so none passes limit
     # while unset fits; arcs coprime to m reach every entry
@@ -86,7 +118,7 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
             raise OverflowError(
                 f"Apery element exceeds the 64-bit range near residue {min(over) % m}"
             )
-    if math.gcd(m, *arcs) > 1 and unset in dist:
+    if d > 1:
         raise ValueError("unreachable residue class (generators not coprime)")
     return dist
 

@@ -313,12 +313,12 @@ def _box(arrangement: Sequence[int], cstars: Sequence[int]) -> tuple[list[int], 
 def _filed_box(anchor: int, bases: list[int], n: int, c: int) -> AperySet:
     """The box of ``_box`` filed by residue in box order: raises at the
     first repeated residue, then builds the checked ``AperySet``."""
-    by_residue = [-1] * anchor
+    by_residue: list[int | None] = [None] * anchor
     for base in bases:
         for lam in range(c):
             element = base + lam * n
             r = element % anchor
-            if by_residue[r] >= 0:
+            if by_residue[r] is not None:
                 raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
             by_residue[r] = element
     return AperySet(anchor, tuple(by_residue))

@@ -161,21 +161,21 @@ def dijkstra_apery(m: int, gens: Sequence[int]) -> list[int]:
     return dist
 
 
-def filed_box(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
+def filed_box(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int | None]:
     """The box {sum of lam_j * n_j : 0 <= lam_j < c*_j} over n_2..n_e, filed
     by residue mod n_1 in box order with the first repeated residue raised
-    under the message ``apery_box`` gives.  Empty residues stay -1."""
+    under the message ``apery_box`` gives.  Empty residues stay None."""
     anchor = arrangement[0]
     bases = [0]
     for c, n in zip(cstars[:-1], arrangement[1:-1]):
         bases = [base + lam * n for base in bases for lam in range(c)]
     steps = [lam * arrangement[-1] for lam in range(cstars[-1])] if cstars else [0]
-    by_residue = [-1] * anchor
+    by_residue: list[int | None] = [None] * anchor
     for base in bases:
         for step in steps:
             element = base + step
             r = element % anchor
-            if by_residue[r] >= 0:
+            if by_residue[r] is not None:
                 raise ValueError(f"duplicate Apery residue {r}: broken free decomposition")
             by_residue[r] = element
     return by_residue

@@ -6,10 +6,11 @@ overflow and input-domain errors."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi._kernels import BACKEND, pykernels
@@ -112,11 +113,52 @@ def test_apery_overflow_scan_boundary():
 def test_round_robin_matches_heap_dijkstra_on_verify_moduli():
     # verify builds the oracle table mod n_1 and mod the free arrangement's
     # anchor (TH_{n+3} when the tetrahedral arrangement is reversed).
-    families = [(triangular_generators(n), triangular_cstar(n)) for n in range(3, 61)]
-    families += [(tetrahedral_generators(n), tetrahedral_cstar(n)) for n in range(4, 31)]
+    # The largest moduli the verify-figurate benchmark builds are those of
+    # triangular n = 339, 340 and tetrahedral n = 79, 80.
+    families = [(triangular_generators(n), triangular_cstar(n)) for n in [*range(3, 61), 339, 340]]
+    families += [(tetrahedral_generators(n), tetrahedral_cstar(n)) for n in [*range(4, 31), 79, 80]]
     for gens, form in families:
         for m in {gens[0], form.arrangement[0]}:
             assert pykernels.apery_levels(m, gens) == dijkstra_apery(m, gens), (m, gens)
+
+
+@st.composite
+def subgroup_growth(draw):
+    """A modulus with several small prime factors and generators that are
+    multiples of its divisors, so the reached residues grow in several
+    steps; padded with multiples of m and repeated generators, which add
+    no arc.  The gcd of m and the generators may exceed 1."""
+    m = math.prod(p ** draw(st.integers(0, top)) for p, top in ((2, 3), (3, 2), (5, 1), (7, 1)))
+    divisors = [q for q in range(1, m + 1) if m % q == 0]
+    gens = draw(st.lists(st.builds(operator.mul, st.sampled_from(divisors), st.integers(1, 12)), min_size=1, max_size=5))
+    gens += [m * c for c in draw(st.lists(st.integers(1, 3), max_size=2))]
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return m, draw(st.permutations(gens))
+
+
+def _outcome(kernel, m, gens):
+    try:
+        return kernel(m, gens)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subgroup_growth())
+# reached residues 1 -> 3 (columns) -> 6 (rows) -> 12 (rows); the arc 8
+# adds no coset, and its closing pass relaxes the multiples of 2
+@example((12, (4, 6, 8, 9)))
+# 1 -> 6 -> 12 -> 60: the arcs 15 and 49 close the reached cells under 30
+# and 245, then fill by rows
+@example((60, (10, 15, 49)))
+# 1 -> 3 -> 30 -> 120: 3 reached cells, closed under 440, fill 9 new
+# cosets by columns
+@example((120, (40, 44, 121)))
+# 1 -> 2: residues 1 and 3 stay unreachable
+@example((4, (6, 10, 4)))
+def test_round_robin_matches_heap_dijkstra_as_the_reached_subgroup_grows(case):
+    m, gens = case
+    assert _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
 
 
 def test_round_robin_matches_naive_sweep():

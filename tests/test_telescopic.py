@@ -230,6 +230,9 @@ def test_apery_box_falls_back_to_the_checked_constructor():
     for build in (apery_box, box_elements):
         with pytest.raises(InvariantViolation, match="^duplicate Apery residue 0: broken free decomposition$"):
             build((6, 0, 10, 15), (2, 3, 1))
+        # a negative element filed first is a repeat all the same: -1 and 5 share residue 5
+        with pytest.raises(InvariantViolation, match="^duplicate Apery residue 5: broken free decomposition$"):
+            build((6, 5, -1, 1), (2, 3, 1))
 
 
 def test_apery_box_refuses_anchors_above_the_materialize_limit():
