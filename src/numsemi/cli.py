@@ -285,23 +285,15 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
         "minimal_generators": list(semigroup.generators),
         "embedding_dimension": semigroup.embedding_dimension,
     }
-    # the c* walk and the reduction share the semigroups they build, this
-    # one first: its n_1 table is built once, and its minimal generators,
-    # arranged as in the input, are not minimalized again
-    built = {semigroup.generators: semigroup}
-    verdict = telescopic.is_free(arrangement, _built=built)
-    if len(gens) < 2:
-        telescopic_given = True
-    elif gens == arrangement:
-        # c*_i = q_i j_i, and j_i = 1 exactly where the input is telescopic
-        chain = telescopic.divide_chain(gens)
-        telescopic_given = all(
-            c == d_prev // d for c, d_prev, d in zip(verdict.cstars, chain, chain[1:])
-        )
-    else:
-        # a list with a redundant or repeated entry is judged as given
-        telescopic_given = bool(telescopic.is_telescopic(gens))
-    record["telescopic_as_given"] = telescopic_given
+    # the c* walk and the reduction share the input's semigroup: its
+    # minimal generators, arranged as in the input, are not minimalized
+    # again, and its n_1 table is built once
+    verdict = telescopic.is_free(arrangement, _semigroup=semigroup)
+    # free exactly when telescopic; a list with a redundant or repeated
+    # entry is judged as given
+    record["telescopic_as_given"] = (
+        bool(verdict) if gens == arrangement else bool(telescopic.is_telescopic(gens))
+    )
     record["arrangement"] = list(arrangement)
     record["free"] = bool(verdict)
     record["cstar"] = list(verdict.cstars)
@@ -318,7 +310,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
         record["betti"] = sorted(semigroup.betti_elements(bound))
     if len(gens) >= 2:
         # the reduction of gens starts by arranging its minimal generators
-        methods["reduction"] = telescopic._brauer_shockley(arrangement, built)
+        methods["reduction"] = telescopic._brauer_shockley(arrangement, semigroup)
     record["frobenius"] = methods["oracle"]
     record["provenance"] = "oracle"
     record["methods"] = dict(sorted(methods.items()))
@@ -398,7 +390,7 @@ def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
         return None
     forms = _closed_forms(kind)
     form = forms.cstar(n)
-    fd = telescopic.is_free(form.arrangement)
+    fd = telescopic.is_free(form.arrangement, _semigroup=semigroup)
     if form.cstars != fd.cstars:
         return f"c* mismatch: closed={form.cstars} generic={fd.cstars}"
     if not fd:
@@ -559,8 +551,9 @@ def _choose4_row(n: int) -> dict:
     fd = None
     if cls is not figurate.TelescopicClass.NEITHER:
         # the raw five-term sequence may carry redundant generators
-        minimal = core.NumericalSemigroup(ordered).generators
-        verdict = telescopic.is_free(telescopic.arranged_minimal(ordered, minimal))
+        semigroup = core.NumericalSemigroup(ordered)
+        arrangement = telescopic.arranged_minimal(ordered, semigroup.generators)
+        verdict = telescopic.is_free(arrangement, _semigroup=semigroup)
         fd = verdict if verdict else None
     return {
         "n": n,

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 from numsemi import _kernels
 from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
 from numsemi.core import (
+    APERY_MATERIALIZE_LIMIT,
     AperySet,
     NumericalSemigroup,
     _minimalize,
@@ -169,85 +170,88 @@ def arranged_minimal(entries: Sequence[int], minimal: Sequence[int]) -> tuple[in
     return tuple(sorted(last, key=last.__getitem__))
 
 
-# Semigroups one operation has built, by sorted minimal generators
-_Semigroups = dict[tuple[int, ...], NumericalSemigroup]
-
-
-def _semigroup(minimal: Sequence[int], built: _Semigroups) -> NumericalSemigroup:
-    """The semigroup of the minimal generating set ``minimal``: the one in
-    ``built``, or a new one added to it.  A caller that passes the same
-    ``built`` to several steps builds each semigroup, and so each Apery
-    table, once."""
-    key = tuple(sorted(minimal))
-    semigroup = built.get(key)
-    if semigroup is None:
-        semigroup = built[key] = NumericalSemigroup(key)
-    return semigroup
-
-
-def _assert_minimal_arrangement(entries: tuple[int, ...], built: _Semigroups) -> None:
-    if tuple(sorted(entries)) in built:
-        return  # an arrangement of a semigroup's minimal generators
-    if len(set(entries)) != len(entries):
-        raise ValueError("arrangement is not a minimal generating set (repeated entry)")
-    minimal = _minimalize(entries)
-    for g in entries:
-        if g not in minimal:
-            raise ValueError(f"arrangement is not a minimal generating set ({g} is redundant)")
+def _least_multiple(prefix: tuple[int, ...], target: int, j_max: int) -> int | None:
+    """The least j in 1..j_max with j * target in the monoid of the
+    minimal, coprime ``prefix``, or None: from the prefix table up to the
+    desk-scale limit.  Above it, if no entry of the table mod target can
+    leave 64 bits, from that table: a positive element is an entry g plus
+    an element least in its class -g mod target.  Else one DFS per j."""
+    if min(prefix) > APERY_MATERIALIZE_LIMIT >= target and target * max(prefix) <= INT64_MAX:
+        dist = _kernels.apery_levels(target, prefix)
+        j = min(g + dist[-g % target] for g in prefix) // target
+        return j if j <= j_max else None
+    semigroup = NumericalSemigroup(prefix)
+    return next((j for j in range(1, j_max + 1) if semigroup.contains(j * target)), None)
 
 
 def cstar_constants(
-    arrangement: Sequence[int], *, _built: _Semigroups | None = None
+    arrangement: Sequence[int], *, _semigroup: NumericalSemigroup | None = None
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """For each position i >= 2, the least k >= 1 with k * n_i in the
     monoid generated by the prefix, plus the canonical witness vector.
 
     k is a multiple j * q_i of q_i = d_{i-1} / d_i, and k * n_i is in the
-    monoid exactly when j * t_i (t_i = n_i / d_i) is in the semigroup of
-    the prefix divided by d_{i-1}, an Apery-table lookup up to the
-    desk-scale limit.  j = 1 works exactly where the arrangement is
-    telescopic, and j = n_1 / d_{i-1} always does.  The witness is one
-    DFS call per position, over the scaled prefix.
-
-    The scaled prefixes of a minimal arrangement are minimal: a
-    representation of one entry by the others, times d_{i-1}, would be one
-    in the arrangement.  So each prefix semigroup comes from ``_built``
-    (see ``_semigroup``), shared with the caller's other steps, and an
-    arrangement of the minimal generators of a semigroup in ``_built`` is
-    not minimalized again.
+    monoid exactly when j * t_i (t_i = n_i / d_i) is in the monoid of the
+    prefix divided by d_{i-1}, whose entries are minimal: a representation
+    of one by the others, times d_{i-1}, would be one in the arrangement.
+    j = 1 exactly where the arrangement is telescopic, so the walk first
+    asks the DFS ``is_telescopic`` runs for the witness of t_i, where it
+    can visit no more nodes than the prefix table has cells.  A position
+    left without one looks further (``_least_multiple``), then takes the
+    DFS for j * t_i.  ``_semigroup`` is the semigroup of the arrangement
+    when the caller holds it: it is not minimalized again.
     """
     entries = validated_generators(arrangement)
-    built = {} if _built is None else _built
     chain = tuple(accumulate(entries, math.gcd))
     if chain[-1] != 1:
         raise NotCoprimeError(chain[-1])
-    _assert_minimal_arrangement(entries, built)
+    if _semigroup is None or tuple(sorted(entries)) != _semigroup.generators:
+        if len(set(entries)) != len(entries):
+            raise ValueError("arrangement is not a minimal generating set (repeated entry)")
+        minimal = _minimalize(entries)
+        for g in entries:
+            if g not in minimal:
+                raise ValueError(f"arrangement is not a minimal generating set ({g} is redundant)")
     cstars: list[int] = []
     reps: list[tuple[int, ...]] = []
     for n_i, scaled_prefix, target, q in _divide_walk(entries, chain):
-        prefix_semigroup = _semigroup(scaled_prefix, built)
         k_max = INT64_MAX // n_i  # the largest k with k * n_i in 64 bits
-        for j in range(1, k_max // q + 1):
-            if prefix_semigroup.contains(j * target):
-                break
-        else:
-            checked_int64((k_max + 1) * n_i, "c* search value")  # always raises
-        witness = _kernels.min_representation(j * target, scaled_prefix)
+        j_max = k_max // q
+        # ask the DFS for t_i when its nodes are at most the cells of the
+        # prefix table: it tries t_i // p + 1 coefficients for each entry p
+        # after the first, whose coefficient is forced; for the second,
+        # one that leaves a multiple of the first recurs with period
+        # first / gcd(first, second), and the DFS stops at its first vector
+        first, *rest = scaled_prefix
+        nodes = math.prod(target // p + 1 for p in rest[1:])
+        if rest:
+            nodes *= min(target // rest[0] + 1, first // math.gcd(first, rest[0]))
+        witness = None
+        if j_max and nodes <= len(scaled_prefix) * min(scaled_prefix):
+            witness = _kernels.min_representation(target, scaled_prefix)
+        j = 1
         if witness is None:
-            raise InvariantViolation(f"no witness for the member {j * target}")
+            j = _least_multiple(scaled_prefix, target, j_max) if j_max else None
+            if j is None:
+                checked_int64((k_max + 1) * n_i, "c* search value")  # always raises
+            witness = _kernels.min_representation(j * target, scaled_prefix)
+            if witness is None:
+                raise InvariantViolation(f"no witness for the member {j * target}")
         cstars.append(j * q)
         reps.append(witness)
     return tuple(cstars), tuple(reps)
 
 
 def is_free(
-    arrangement: Sequence[int], *, _built: _Semigroups | None = None
+    arrangement: Sequence[int], *, _semigroup: NumericalSemigroup | None = None
 ) -> FreeDecomposition | NotFree:
     """Freeness test for the given arrangement: n_1 must equal the product
-    of the c* constants, which come from Apery-table lookups sharing
-    ``_built`` (see ``cstar_constants``)."""
+    of the c* constants (see ``cstar_constants``).  Each c*_i is j_i q_i
+    with j_i >= 1, and the q_i multiply to n_1, so the arrangement is free
+    exactly when it is telescopic, and then c*_i = q_i with the telescopic
+    witnesses (Rosales & García-Sánchez, *Numerical Semigroups*, 2009)."""
     entries = tuple(arrangement)  # validated by cstar_constants
-    cstars, reps = cstar_constants(entries, _built=_built)
+    cstars, reps = cstar_constants(entries, _semigroup=_semigroup)
     product = math.prod(cstars)
     if product != entries[0]:
         return NotFree(entries, cstars, product)
@@ -400,16 +404,15 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
     d = gcd_list(entries)
     if d != 1:
         raise NotCoprimeError(d)
-    return _brauer_shockley(entries, {})
+    return _brauer_shockley(entries)
 
 
-def _brauer_shockley(entries: tuple[int, ...], built: _Semigroups) -> int:
-    """``brauer_shockley_frobenius`` of validated coprime ``entries``,
-    sharing semigroups with ``built`` (see ``_semigroup``): entries that
-    are the minimal generators of a semigroup in ``built`` are not
-    minimalized again, and the Apery fallback uses that semigroup's table."""
-    key = tuple(sorted(entries))
-    work = arranged_minimal(entries, key if key in built else _minimalize(entries))
+def _brauer_shockley(entries: tuple[int, ...], semigroup: NumericalSemigroup | None = None) -> int:
+    """``brauer_shockley_frobenius`` of validated coprime ``entries``.  A
+    caller that holds ``semigroup``, whose minimal generators ``entries``
+    arranges, passes it: the arrangement is not minimalized again, and the
+    Apery fallback at this level uses its table."""
+    work = entries if semigroup is not None else arranged_minimal(entries, _minimalize(entries))
     if len(work) == 1:
         # dropping preserves the overall gcd, so the survivor is 1
         if work[0] != 1:
@@ -420,10 +423,10 @@ def _brauer_shockley(entries: tuple[int, ...], built: _Semigroups) -> int:
         return checked_int64(a * b - a - b, "Frobenius number")
     d = gcd_list(work[:-1])
     if d > 1:
-        inner = _brauer_shockley(tuple(x // d for x in work[:-1]) + (work[-1],), built)
+        inner = _brauer_shockley(tuple(x // d for x in work[:-1]) + (work[-1],))
         return checked_int64(d * inner + (d - 1) * work[-1], "Frobenius number")
     d = gcd_list(work[1:])
     if d > 1:
-        inner = _brauer_shockley(tuple(x // d for x in work[1:]) + (work[0],), built)
+        inner = _brauer_shockley(tuple(x // d for x in work[1:]) + (work[0],))
         return checked_int64(d * inner + (d - 1) * work[0], "Frobenius number")
-    return _semigroup(work, built).frobenius()
+    return (semigroup or NumericalSemigroup(work)).frobenius()

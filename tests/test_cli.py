@@ -280,7 +280,8 @@ def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_ca
         "41,53,67,79,97",  # not free: the reduction falls back to the n_1 table
         "12,8,3,20",  # 12 and 20 redundant; the c* walk divides (8) by d_1 = 8
         "10,6,15",  # free
-        # the reduction's inner semigroup (19, 35, 39) is the last c* prefix
+        # the reduction's inner semigroup (19, 35, 39) is the last c*
+        # prefix, which the c* walk does not build: t_4 has a witness
         "57,105,117,70",
     ],
 )
@@ -326,7 +327,7 @@ def test_is_free_does_not_minimalize_a_built_semigroup(monkeypatch):
 
     monkeypatch.setattr(telescopic, "_minimalize", refuse)
     for arr, verdict in zip(arrangements, expected):
-        assert telescopic.is_free(arr, _built={S.generators: S}) == verdict
+        assert telescopic.is_free(arr, _semigroup=S) == verdict
     with pytest.raises(AssertionError, match="minimalized again"):
         telescopic.is_free(S.generators)
 

@@ -11,9 +11,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from numsemi import _kernels, telescopic
 from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
 from numsemi.errors import InvariantViolation, NotCoprimeError
-from numsemi.figurate import tetrahedral_cstar, tetrahedral_generators, triangular_generators
+from numsemi.figurate import (
+    TelescopicClass,
+    choose4_family,
+    figurate_embedding_dimension,
+    tetrahedral_cstar,
+    tetrahedral_generators,
+    triangular_cstar,
+    triangular_generators,
+)
 from numsemi.telescopic import (
     FreeDecomposition,
     NotFree,
@@ -162,6 +171,144 @@ def test_cstar_and_witnesses_match_oracles_on_divide_chains(entries):
         d = math.gcd(*entries[:i])
         scaled = [a // d for a in entries[:i]]
         assert rep == canonical_witness(c * entries[i] // d, scaled), (entries, i + 1)
+
+
+@st.composite
+def minimal_arrangements(draw):
+    """The minimal generators of a random semigroup (2..5 coprime entries
+    <= 300 before minimalizing), in a random order."""
+    gens = draw(
+        st.lists(st.integers(min_value=2, max_value=300), min_size=2, max_size=5, unique=True).filter(
+            lambda g: math.gcd(*g) == 1
+        )
+    )
+    return draw(st.permutations(NumericalSemigroup(gens).generators))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(minimal_arrangements())
+@example((10, 15, 21))  # triangular n = 4, telescopic
+@example((220, 286, 364, 455))  # tetrahedral n = 10 forward, not telescopic
+def test_free_exactly_when_telescopic(arrangement):
+    # c*_i = j_i q_i with j_i >= 1 and the q_i multiply to n_1: free means
+    # every j_i = 1, which is the telescopic condition
+    verdict = is_free(arrangement)
+    certificate = is_telescopic(arrangement)
+    assert bool(verdict) == bool(certificate)
+    chain = divide_chain(arrangement)
+    quotients = tuple(d_prev // d for d_prev, d in zip(chain, chain[1:]))
+    assert all(c % q == 0 for c, q in zip(verdict.cstars, quotients))
+    if verdict:
+        assert verdict.cstars == quotients
+        assert verdict.reps == certificate.witnesses
+
+
+def _gated_prefixes(arrangement) -> set[tuple[int, ...]]:
+    """The sorted scaled prefixes at the positions whose DFS node bound
+    exceeds the len(prefix) * min(prefix) cells of the prefix table.  The
+    bound is the product of t_i // p + 1 over the entries p after the
+    first two, times the most coefficients the DFS tries for the second,
+    min(t_i // p_2 + 1, p_1 / gcd(p_1, p_2))."""
+    chain = divide_chain(arrangement)
+    out = set()
+    for i in range(2, len(arrangement)):
+        p = [a // chain[i - 1] for a in arrangement[:i]]
+        target = arrangement[i] // chain[i]
+        nodes = min(target // p[1] + 1, p[0] // math.gcd(p[0], p[1]))
+        nodes *= math.prod(target // g + 1 for g in p[2:])
+        if nodes > len(p) * min(p):
+            out.add(tuple(sorted(p)))
+    return out
+
+
+def _telescopic_arrangements():
+    for n in range(3, 61):
+        if figurate_embedding_dimension("triangular", n) == 3:
+            yield "triangular", triangular_cstar(n).arrangement
+    for n in range(4, 41):
+        if figurate_embedding_dimension("tetrahedral", n) == 4:
+            yield "tetrahedral", tetrahedral_cstar(n).arrangement
+    for n in range(1, 61):
+        gens, cls = choose4_family(n)
+        if cls is not TelescopicClass.NEITHER:
+            ordered = gens if cls in (TelescopicClass.FORWARD, TelescopicClass.BOTH) else gens[::-1]
+            yield "choose4", arranged_minimal(ordered, NumericalSemigroup(ordered).generators)
+
+
+def test_is_free_on_telescopic_arrangements_asks_the_witness_not_a_table(monkeypatch):
+    apery_levels = _kernels.apery_levels
+    allowed: set[tuple[int, ...]] = set()
+    seen: list[tuple[int, ...]] = []
+
+    def refuse(m, gens):
+        if tuple(gens) not in allowed:
+            raise AssertionError(f"Apery table mod {m} over {tuple(gens)}")
+        seen.append(tuple(gens))
+        return apery_levels(m, gens)
+
+    monkeypatch.setattr(_kernels, "apery_levels", refuse)
+    gated = 0
+    for family, arrangement in _telescopic_arrangements():
+        # a table only where the gate sends the position to it, and once;
+        # for the two figurate families, nowhere
+        allowed, seen = _gated_prefixes(arrangement), []
+        assert family == "choose4" or not allowed, arrangement
+        gated += bool(allowed)
+        assert is_free(arrangement), arrangement
+        assert len(seen) == len(set(seen)), arrangement
+    assert gated == 20  # the last position of 20 of the 60 choose4 rows
+
+
+def test_the_gate_sends_a_deep_dfs_to_the_prefix_table(monkeypatch):
+    # position 6: the DFS for 332999 over (4001, 2000, 2002, 2004, 2006)
+    # has a node bound of about 167**4, against the 10,000 cells of the
+    # table mod 2000
+    arrangement = (4001, 2000, 2002, 2004, 2006, 332999)
+    # the arrangement is minimal; checking that is a DFS of seconds
+    monkeypatch.setattr(telescopic, "_minimalize", lambda entries: tuple(sorted(set(entries))))
+    min_representation = _kernels.min_representation
+    calls = []
+
+    def counted(x, gens):
+        calls.append((x, tuple(gens)))
+        return min_representation(x, gens)
+
+    monkeypatch.setattr(_kernels, "min_representation", counted)
+    verdict = is_free(arrangement)
+    assert isinstance(verdict, NotFree)
+    assert verdict.cstars == (4001, 1000, 500, 334, 3)
+    assert (332999, arrangement[:5]) not in calls
+    assert (3 * 332999, arrangement[:5]) in calls  # the witness for c*_6
+
+
+def test_cstar_above_desk_scale_takes_the_table_mod_the_target(monkeypatch):
+    # the prefix (10000019, 10000079) is above the desk-scale limit, so its
+    # table is refused; c*_3 comes from the 7 cells of the table mod 7
+    entries = (10_000_019, 10_000_079, 7)
+    semigroup = NumericalSemigroup(entries)
+
+    def refuse(x, gens):
+        raise AssertionError(f"coefficient DFS for {x} over {tuple(gens)}")
+
+    monkeypatch.setattr(_kernels, "is_representable", refuse)
+    cstars, reps = cstar_constants(entries, _semigroup=semigroup)
+    assert cstars == (10_000_019, 4_285_731)
+    assert reps == ((10_000_079,), (2, 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(minimal_arrangements())
+def test_cstar_from_the_table_mod_the_target_matches_the_oracle(arrangement):
+    # a limit of 40 refuses every prefix table whose modulus is above 40,
+    # so targets up to 40 over such prefixes take the table mod the target
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(telescopic, "APERY_MATERIALIZE_LIMIT", 40)
+        cstars, reps = cstar_constants(arrangement)
+    assert list(cstars) == dijkstra_cstars(arrangement)
+    for i, (c, rep) in enumerate(zip(cstars, reps), start=1):
+        d = math.gcd(*arrangement[:i])
+        scaled = [a // d for a in arrangement[:i]]
+        assert rep == canonical_witness(c * arrangement[i] // d, scaled), (arrangement, i + 1)
 
 
 def test_is_free_examples():
