@@ -6,8 +6,10 @@
 from __future__ import annotations
 
 from numsemi._kernels.pykernels import (
+    apery_cosets,
     apery_levels,
     factorizations_of,
+    fill_cosets,
     is_representable,
     min_representation,
 )
@@ -16,8 +18,10 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
+    "apery_cosets",
     "apery_levels",
     "factorizations_of",
+    "fill_cosets",
     "is_representable",
     "min_representation",
 ]

@@ -1,10 +1,13 @@
 """Pure-Python kernels for the hot inner loops.
 
-``apery_levels`` is the round-robin algorithm of Böcker & Lipták
+``apery_cosets`` is the round-robin algorithm of Böcker & Lipták
 (Algorithmica 2007) run over the subgroup of residues reached so far:
 each generator closes the reached cells under its least multiple that
 maps them to themselves, then fills the cosets it adds with no compare.
-O(e * m) with no heap.  Vectors are enumerated in
+O(e * m) with no heap.  It leaves the last generator's cosets unfilled:
+each of their cells is a base cell plus a multiple of that generator, so
+max, sum and lookups need no fill.  ``fill_cosets`` writes them out, and
+``apery_levels`` is the two in turn.  Vectors are enumerated in
 one canonical order everywhere: ascending by coefficient of the last
 generator, then the second-to-last, and so on (the first generator's
 coefficient is forced by divisibility).  One DFS, ``_walk``, walks them:
@@ -20,8 +23,8 @@ from typing import Callable, Sequence
 _INT64_MAX = 2**63 - 1
 
 
-def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
-    """Least monoid element in each residue class mod ``m``.
+def apery_cosets(m: int, gens: Sequence[int]) -> tuple[list[int], int, int]:
+    """The table of ``apery_levels`` in coset form, ``(base, d, g)``.
 
     Shortest paths on the residue graph (nodes 0..m-1, one arc
     r -> (r+g) mod m of weight g per generator g) by the round-robin
@@ -41,11 +44,17 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     else by k - 1 steps of g from each reached h.  Then d = e.  Cost
     O(e * m), no heap, with the compare on only m / d cells per arc.
 
+    The last arc g is closed but not filled: ``base[i]`` is the least
+    element congruent to i d, d the index of the residues reached before
+    g, and the least element at (h + j g) mod m, h = i d, 0 <= j < d, is
+    base[i] + j g.  d = 1 means ``base`` is the whole table; with no arc
+    (m = 1) g is 0.  ``fill_cosets`` writes out the d - 1 cosets.
+
     Requires every class to be reachable (holds whenever gcd(gens) == 1);
     d > 1 after the last generator leaves some residue unreachable.
-    Raises ``OverflowError`` when an entry plus the largest arc leaves
-    the signed 64-bit range, naming the residue of the least such entry,
-    the first one Dijkstra would meet.
+    Raises ``OverflowError`` when an entry of the filled table plus the
+    largest arc leaves the signed 64-bit range, naming the residue of the
+    least such entry, the first one Dijkstra would meet.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -60,7 +69,7 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
     if not arcs:
         if m > 1:
             raise ValueError("unreachable residue class (generators not coprime)")
-        return [0]
+        return [0], 1, 0
     # A least entry is a path of at most m - 1 arcs, so it stays below this.
     unset = m * arcs[-1]
     dist = [unset] * m
@@ -89,38 +98,65 @@ def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
                         v = w
                     else:
                         dist[r] = v
-        reached = m // d
-        if 1 < k <= reached:
-            sub = dist[::d]
-            for j in range(1, k):
-                # cell i d + j g is slot (i + b) mod (m / d) of dist[a::d]
-                b, a = divmod(j * g % m, d)
-                w = j * g
-                dist[a::d] = [x + w for x in sub[reached - b :]] + [x + w for x in sub[: reached - b]]
-        elif k > 1:
-            step = g % m
-            for h in range(0, m, d):
-                v = dist[h]
-                r = h
-                for _ in range(k - 1):
-                    r += step
-                    if r >= m:
-                        r -= m
-                    v += g
-                    dist[r] = v
+        if g == arcs[-1]:
+            break
+        if k > 1:
+            _fill(dist, d, k, g)
         d = e
-    limit = _INT64_MAX - arcs[-1]
-    # a reachable entry is at most unset - arcs[-1], so none passes limit
-    # while unset fits; arcs coprime to m reach every entry
-    if unset > _INT64_MAX and max(dist) > limit:
-        over = [d for d in dist if limit < d < unset]
-        if over:
-            raise OverflowError(
-                f"Apery element exceeds the 64-bit range near residue {min(over) % m}"
-            )
-    if d > 1:
+    base = dist if d == 1 else dist[::d]
+    limit = _INT64_MAX - g
+    top = (k - 1) * g  # the last arc's fill adds 0..top to each base entry
+    # a reachable entry is at most unset - g, so none passes limit while
+    # unset fits; arcs coprime to m reach every entry
+    if unset > _INT64_MAX and max(base) + top > limit:
+        # the first step past limit in each coset row that gets there
+        least = min(b + max(0, (limit - b) // g + 1) * g for b in base if b + top > limit)
+        raise OverflowError(f"Apery element exceeds the 64-bit range near residue {least % m}")
+    if e > 1:
         raise ValueError("unreachable residue class (generators not coprime)")
+    return base, d, g
+
+
+def _fill(dist: list[int], d: int, k: int, g: int) -> None:
+    """Set dist[(h + j g) mod m] = dist[h] + j g for every multiple h of d
+    and 0 < j < k: one stride slice per coset when m / d >= k, else k - 1
+    steps of g from each h."""
+    m = len(dist)
+    reached = m // d
+    if k <= reached:
+        sub = dist[::d]
+        for j in range(1, k):
+            # cell i d + j g is slot (i + b) mod (m / d) of dist[a::d]
+            b, a = divmod(j * g % m, d)
+            w = j * g
+            dist[a::d] = [x + w for x in sub[reached - b :]] + [x + w for x in sub[: reached - b]]
+    else:
+        step = g % m
+        for h in range(0, m, d):
+            v = dist[h]
+            r = h
+            for _ in range(k - 1):
+                r += step
+                if r >= m:
+                    r -= m
+                v += g
+                dist[r] = v
+
+
+def fill_cosets(base: list[int], d: int, g: int) -> list[int]:
+    """The whole table of the coset form ``apery_cosets`` returns."""
+    if d == 1:
+        return base
+    dist = [0] * (len(base) * d)
+    dist[::d] = base
+    _fill(dist, d, d, g)
     return dist
+
+
+def apery_levels(m: int, gens: Sequence[int]) -> list[int]:
+    """Least monoid element in each residue class mod ``m``: the coset
+    form of ``apery_cosets``, filled."""
+    return fill_cosets(*apery_cosets(m, gens))
 
 
 def _first(coeffs: list[int]) -> bool:

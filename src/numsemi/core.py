@@ -9,7 +9,10 @@ are byte-stable across runs.
 ``NumericalSemigroup`` is the one place that decides how membership is
 answered: from the Apery table of the smallest generator up to the
 desk-scale limit ``APERY_MATERIALIZE_LIMIT``, and by the coefficient DFS
-only above it, where no table may be built.
+only above it, where no table may be built.  The table is held in the
+coset form of ``_kernels.apery_cosets``, from which membership, the
+Frobenius number and the genus are read; it is filled out only where
+every cell is needed (``apery``, ``betti_elements``).
 """
 
 from __future__ import annotations
@@ -100,11 +103,15 @@ class NumericalSemigroup:
 
     Construction reduces any coprime generator list to the unique minimal
     system, sorted ascending.  Immutable apart from two caches populated
-    at most once; racing writers recompute identical values, so concurrent
-    readers are safe.
+    at most once, both of the Apery table of n_1: its coset form
+    (``_kernels.apery_cosets``), from which membership, the Frobenius
+    number and the genus are read, and the whole table, filled from it
+    on first use by ``apery`` or ``betti_elements``.
+    Racing writers recompute identical values, so concurrent readers are
+    safe.
     """
 
-    __slots__ = ("generators", "_apery_table", "_frobenius")
+    __slots__ = ("generators", "_cosets", "_apery_table")
 
     def __init__(self, entries: Sequence[int]) -> None:
         seq = validated_generators(entries)
@@ -112,8 +119,8 @@ class NumericalSemigroup:
         if d != 1:
             raise NotCoprimeError(d)
         self.generators = _minimalize(seq)
+        self._cosets: tuple[list[int], int, int] | None = None
         self._apery_table: list[int] | None = None
-        self._frobenius: int | None = None
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup(⟨{', '.join(map(str, self.generators))}⟩)"
@@ -134,26 +141,38 @@ class NumericalSemigroup:
     def embedding_dimension(self) -> int:
         return len(self.generators)
 
-    def _smallest_apery(self) -> list[int]:
-        if self._apery_table is None:
+    def _apery_cosets(self) -> tuple[list[int], int, int]:
+        """The table of n_1 in coset form (base, d, g): the least element
+        at (i d + j g) mod n_1 is base[i] + j g for 0 <= j < d."""
+        if self._cosets is None:
             m = self.generators[0]
             require_desk_scale(m)
-            self._apery_table = _kernels.apery_levels(m, self.generators)
+            self._cosets = _kernels.apery_cosets(m, self.generators)
+        return self._cosets
+
+    def _smallest_apery(self) -> list[int]:
+        if self._apery_table is None:
+            self._apery_table = _kernels.fill_cosets(*self._apery_cosets())
         return self._apery_table
 
     def contains(self, x: int) -> bool:
         """Membership test; 0 is always in, negatives never are.
 
-        Answered from the Apery table of the smallest generator, built once.
-        Only above the desk-scale limit, where no table may be built, does
-        each call run the coefficient DFS instead.
+        Answered from the coset form of the table of the smallest
+        generator, built once: the residue r = x mod n_1 lies in coset
+        j = r g^-1 mod d, so its least element is base[(r - j g) mod n_1 / d]
+        + j g.  Only above the desk-scale limit, where no table may be
+        built, does each call run the coefficient DFS instead.
         """
         if x <= 0:
             return x == 0
         m = self.generators[0]
         if m > APERY_MATERIALIZE_LIMIT:
             return _kernels.is_representable(x, self.generators)
-        return x >= self._smallest_apery()[x % m]
+        base, d, g = self._apery_cosets()
+        r = x % m
+        j = r * pow(g, -1, d) % d
+        return x >= base[(r - j * g) % m // d] + j * g
 
     def apery(self, m: int | None = None) -> AperySet:
         """Apery set of ``m`` (default: the smallest generator).
@@ -174,17 +193,20 @@ class NumericalSemigroup:
         return AperySet(m, tuple(table))
 
     def frobenius(self) -> int:
-        """Largest integer outside the semigroup; -1 for the whole of N."""
-        if self._frobenius is None:
-            ap = self._smallest_apery()
-            self._frobenius = max(ap) - self.generators[0]
-        return self._frobenius
+        """Largest integer outside the semigroup; -1 for the whole of N.
+        The largest entry of the table of n_1 is max(base) + (d - 1) g."""
+        base, d, g = self._apery_cosets()
+        return max(base) + (d - 1) * g - self.generators[0]
 
     def genus(self) -> int:
         """Number of gaps, by Selmer's formula on the table of n_1:
-        the sum of Ap(S, n_1) is n_1 g + n_1 (n_1 - 1) / 2."""
+        the sum of Ap(S, n_1) is n_1 g + n_1 (n_1 - 1) / 2.  In coset form
+        each base cell b stands for b, b + l, ..., b + (d - 1) l, l the
+        last generator, so the table sums to d sum(base) + n_1 l (d - 1) / 2."""
         m = self.generators[0]
-        return (2 * sum(self._smallest_apery()) - m * (m - 1)) // (2 * m)
+        base, d, last = self._apery_cosets()
+        total = d * sum(base) + m * last * (d - 1) // 2
+        return (2 * total - m * (m - 1)) // (2 * m)
 
     def factorizations(self, s: int) -> list[tuple[int, ...]]:
         """All coefficient vectors over the minimal generators evaluating to s."""

@@ -249,6 +249,53 @@ def test_verify_requires_range(capsys):
     assert code == 2
 
 
+def _count_tables(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """Record (m, gens) for every Apery table built from generators: the
+    engine's table of n_1 in coset form, and every other whole table."""
+    seen = []
+    for name in ("apery_cosets", "apery_levels"):
+
+        def counted(m, gens, kernel=getattr(_kernels, name)):
+            seen.append((m, tuple(gens)))
+            return kernel(m, gens)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "kind, generators, check, oracle_max_n, ns",
+    [
+        ("triangular", figurate.triangular_generators, cli._check_triangular, 12, [*range(3, 61), 339, 340]),
+        ("tetrahedral", figurate.tetrahedral_generators, cli._check_tetrahedral, 8, [*range(4, 41), 79, 80]),
+    ],
+)
+def test_family_check_fills_the_n1_table_only_for_the_betti_oracle(
+    monkeypatch, kind, generators, check, oracle_max_n, ns
+):
+    # above oracle_max_n only the coset form's max, sum and lookups are read
+    fills = []
+    fill_cosets = _kernels.fill_cosets
+
+    def counted_fill(base, d, g):
+        fills.append(len(base) * d)
+        return fill_cosets(base, d, g)
+
+    def refuse(m, gens):
+        raise AssertionError(f"whole Apery table mod {m} over {tuple(gens)}")
+
+    seen = _count_tables(monkeypatch)
+    monkeypatch.setattr(_kernels, "fill_cosets", counted_fill)
+    monkeypatch.setattr(_kernels, "apery_levels", refuse)
+    for n in ns:
+        gens = core.NumericalSemigroup(generators(n)).generators
+        del fills[:], seen[:]
+        assert check(n) is None, n
+        assert (gens[0], gens) in seen, n
+        betti_oracle = n <= oracle_max_n and figurate.figurate_embedding_dimension(kind, n) == len(gens)
+        assert fills == ([gens[0]] if betti_oracle else []), n
+
+
 @pytest.mark.parametrize(
     "check, n, max_calls",
     [
@@ -260,15 +307,9 @@ def test_verify_requires_range(capsys):
     ],
 )
 def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_calls):
-    seen = []
-    apery_levels = _kernels.apery_levels
-
-    def counted_apery_levels(m, gens):
-        seen.append((m, tuple(gens)))
-        return apery_levels(m, gens)
-
-    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    seen = _count_tables(monkeypatch)
     assert check(n) is None
+    assert seen  # the oracle's table of n_1 at least
     assert len(seen) == len(set(seen)), seen
     assert len(seen) <= max_calls, seen
     assert all(m != arith.tetrahedral(n + 3) for m, _ in seen), seen
@@ -286,14 +327,7 @@ def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_ca
     ],
 )
 def test_analyze_gens_builds_each_apery_table_once(monkeypatch, capsys, gens):
-    seen = []
-    apery_levels = _kernels.apery_levels
-
-    def counted_apery_levels(m, generators):
-        seen.append((m, tuple(generators)))
-        return apery_levels(m, generators)
-
-    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    seen = _count_tables(monkeypatch)
     code, out = run(capsys, "analyze", "--gens", gens, "--format", "json")
     assert code == 0 and json.loads(out)["agreement"] is True
     minimal = tuple(json.loads(out)["minimal_generators"])

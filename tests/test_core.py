@@ -309,20 +309,20 @@ def test_betti_elements_enumerate_no_factorizations(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("betti_elements enumerated factorizations")
 
-    calls = {"apery_levels": 0}
-    apery_levels = _kernels.apery_levels
+    calls = {"apery_cosets": 0}
+    apery_cosets = _kernels.apery_cosets
 
-    def counted_apery_levels(*args):
-        calls["apery_levels"] += 1
-        return apery_levels(*args)
+    def counted_apery_cosets(*args):
+        calls["apery_cosets"] += 1
+        return apery_cosets(*args)
 
     monkeypatch.setattr(_kernels, "factorizations_of", refuse)
     monkeypatch.setattr(NumericalSemigroup, "rs_partition", refuse)
-    monkeypatch.setattr(_kernels, "apery_levels", counted_apery_levels)
+    monkeypatch.setattr(_kernels, "apery_cosets", counted_apery_cosets)
     for S, expected in examples:
-        before = calls["apery_levels"]
+        before = calls["apery_cosets"]
         betti = S.betti_elements()
-        assert calls["apery_levels"] - before == 1
+        assert calls["apery_cosets"] - before == 1
         if expected is not None:
             assert betti == expected
         else:

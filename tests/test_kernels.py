@@ -1,7 +1,8 @@
 """The kernels' contracts: canonical enumeration order, shared by the
 three kernels of the coefficient DFS, Apery tables checked against the
 heap Dijkstra the round robin replaced and against a brute-force sweep,
-overflow and input-domain errors."""
+the coset form of the table and the engine's queries on it, overflow and
+input-domain errors."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi._kernels import BACKEND, pykernels
+from numsemi.core import NumericalSemigroup
 from numsemi.figurate import (
     tetrahedral_cstar,
     tetrahedral_generators,
@@ -21,7 +23,7 @@ from numsemi.figurate import (
     triangular_generators,
 )
 
-from oracles import dijkstra_apery, naive_apery
+from oracles import dijkstra_apery, naive_apery, naive_genus
 
 
 def test_backend_constant():
@@ -70,30 +72,43 @@ def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
         assert len({_raised(kernel, *args) for kernel in DFS_KERNELS}) == 1, args
 
 
+# The table filled, and its coset form: the errors of both are one contract.
+APERY_ENTRY_POINTS = (pykernels.apery_levels, pykernels.apery_cosets)
+
+
+def _filled(m, gens):
+    return pykernels.fill_cosets(*pykernels.apery_cosets(m, gens))
+
+
 def test_apery_trivial_modulus():
     assert pykernels.apery_levels(1, ()) == [0]
+    assert pykernels.apery_cosets(1, ()) == ([0], 1, 0)
 
 
 def test_apery_rejects_unreachable_residues():
     # (4, (2**61 + 2,)): residues 1 and 3 are unreachable, and no entry
     # overflows.
     for m, gens in ((4, (6, 10)), (4, ()), (3, (3, 6)), (4, (2**61 + 2,))):
-        with pytest.raises(ValueError, match="unreachable residue class"):
-            pykernels.apery_levels(m, gens)
+        for kernel in APERY_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="unreachable residue class"):
+                kernel(m, gens)
 
 
 def test_apery_overflow_guard():
     # The residue named is that of the least entry whose sum with the
     # largest arc overflows: the first one Dijkstra meets.
     big = 2**62
-    with pytest.raises(OverflowError, match="near residue 4$"):
-        pykernels.apery_levels(5, (big, big + 1))
-    with pytest.raises(OverflowError, match="near residue 1$"):
-        pykernels.apery_levels(2, (2, big + 1))
-    # Entry plus largest arc: 2**63 overflows, 2**63 - 2 does not.
-    with pytest.raises(OverflowError, match="near residue 1$"):
-        pykernels.apery_levels(2, (big - 1, big + 1))
+    for kernel in APERY_ENTRY_POINTS:
+        with pytest.raises(OverflowError, match="near residue 4$"):
+            kernel(5, (big, big + 1))
+        with pytest.raises(OverflowError, match="near residue 1$"):
+            kernel(2, (2, big + 1))
+        # Entry plus largest arc: 2**63 overflows, 2**63 - 2 does not.
+        with pytest.raises(OverflowError, match="near residue 1$"):
+            kernel(2, (big - 1, big + 1))
     assert pykernels.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
+    # the arc big - 3 reaches both residues: d = 1, the base is the table
+    assert pykernels.apery_cosets(2, (big - 3, big + 1)) == ([0, big - 3], 1, big + 1)
 
 
 def test_apery_overflow_scan_boundary():
@@ -102,12 +117,11 @@ def test_apery_overflow_scan_boundary():
     G = (2**63 - 1) // 49
     assert math.gcd(G, 49) == 1
     table = pykernels.apery_levels(49, (G,))
-    assert table == dijkstra_apery(49, (G,))
+    assert table == _filled(49, (G,)) == dijkstra_apery(49, (G,))
     assert max(table) == 48 * G == 2**63 - 1 - G
-    with pytest.raises(OverflowError, match="near residue 31$"):
-        pykernels.apery_levels(49, (G + 1,))
-    with pytest.raises(OverflowError, match="near residue 31$"):
-        dijkstra_apery(49, (G + 1,))
+    for kernel in (*APERY_ENTRY_POINTS, dijkstra_apery):
+        with pytest.raises(OverflowError, match="near residue 31$"):
+            kernel(49, (G + 1,))
 
 
 def test_round_robin_matches_heap_dijkstra_on_verify_moduli():
@@ -159,6 +173,41 @@ def _outcome(kernel, m, gens):
 def test_round_robin_matches_heap_dijkstra_as_the_reached_subgroup_grows(case):
     m, gens = case
     assert _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
+
+
+@st.composite
+def coprime_lists(draw):
+    gens = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    assume(math.gcd(*gens) == 1)
+    return min(gens), gens
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(coprime_lists(), subgroup_growth()))
+# d = 2: the arc 15 finds the multiples of 2 reached, base (0, 20, 10)
+@example((6, [6, 10, 15]))
+# triangular n = 12, d = 13: 6 base cells of the 78 in the table
+@example((78, list(triangular_generators(12))))
+# tetrahedral n = 8, d = 5
+@example((120, list(tetrahedral_generators(8))))
+def test_coset_form_answers_the_engine_queries_like_the_full_table(case):
+    m, gens = case
+    # the fill of the coset form is the table, errors included
+    assert _outcome(_filled, m, gens) == _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
+    assume(math.gcd(m, *gens) == 1)
+    S = NumericalSemigroup((m, *gens))
+    n1 = S.multiplicity
+    full = dijkstra_apery(n1, S.generators)
+    f = max(full) - n1
+    assume(f <= 3000)  # keep the sieve of naive_genus small
+    base, d, g = pykernels.apery_cosets(n1, S.generators)
+    assert len(base) * d == n1
+    assert all(full[(i * d + j * g) % n1] == b + j * g for i, b in enumerate(base) for j in range(d))
+    assert S.frobenius() == f
+    assert S.genus() == naive_genus(S.generators)
+    assert [S.contains(x) for x in range(f + n1 + 2)] == [x >= full[x % n1] for x in range(f + n1 + 2)]
+    assert S._apery_table is None  # no query above filled the table
+    assert S._smallest_apery() == full
 
 
 def test_round_robin_matches_naive_sweep():

@@ -236,17 +236,18 @@ def _telescopic_arrangements():
 
 
 def test_is_free_on_telescopic_arrangements_asks_the_witness_not_a_table(monkeypatch):
-    apery_levels = _kernels.apery_levels
     allowed: set[tuple[int, ...]] = set()
     seen: list[tuple[int, ...]] = []
+    # a prefix table is the engine's n_1 table in coset form or a whole one
+    for name in ("apery_cosets", "apery_levels"):
 
-    def refuse(m, gens):
-        if tuple(gens) not in allowed:
-            raise AssertionError(f"Apery table mod {m} over {tuple(gens)}")
-        seen.append(tuple(gens))
-        return apery_levels(m, gens)
+        def refuse(m, gens, kernel=getattr(_kernels, name)):
+            if tuple(gens) not in allowed:
+                raise AssertionError(f"Apery table mod {m} over {tuple(gens)}")
+            seen.append(tuple(gens))
+            return kernel(m, gens)
 
-    monkeypatch.setattr(_kernels, "apery_levels", refuse)
+        monkeypatch.setattr(_kernels, name, refuse)
     gated = 0
     for family, arrangement in _telescopic_arrangements():
         # a table only where the gate sends the position to it, and once;
@@ -255,7 +256,7 @@ def test_is_free_on_telescopic_arrangements_asks_the_witness_not_a_table(monkeyp
         assert family == "choose4" or not allowed, arrangement
         gated += bool(allowed)
         assert is_free(arrangement), arrangement
-        assert len(seen) == len(set(seen)), arrangement
+        assert len(seen) == len(set(seen)) == len(allowed), arrangement
     assert gated == 20  # the last position of 20 of the 60 choose4 rows
 
 
