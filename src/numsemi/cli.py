@@ -95,8 +95,11 @@ def _record_to_text(record: dict) -> str:
 
 
 def _scalar(value: object) -> str:
+    """A field of text and CSV output: a list or tuple as ``[a, b]``, a bool
+    as ``true``/``false``.  A list that passes the JSON writer's check is
+    its ``repr``; any other is written item by item."""
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_scalar(v) for v in value) + "]"
+        return _int_list_repr(value) or "[" + ", ".join(_scalar(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -113,40 +116,69 @@ def _record_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _json(value: object, pad: str = "") -> str:
-    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` for
-    str-keyed records.  With ``indent`` set, ``json.dumps`` runs its
-    pure-Python encoder, one generator step per list element; here a list
-    of plain ints, such as a full Apery set, is one ``repr``."""
+_INT_LIST_CHARS = b"0123456789-, "  # a plain-int list's repr between its brackets
+
+
+def _int_list_repr(value: list | tuple) -> str | None:
+    """``repr(list(value))`` when it starts with a plain int and every item
+    is written as ``int.__repr__`` writes it, else None.  The first item
+    spares a list of records its repr; then one pass in C deletes the
+    digits, signs and ``", "`` separators, which must leave ``[]``: a bool,
+    str, None, container or int subclass with its own repr leaves more."""
+    if not value or type(value[0]) is not int:
+        return None
+    text = repr(value if type(value) is list else list(value))
+    if text.isascii() and text.encode().translate(None, _INT_LIST_CHARS) == b"[]":
+        return text
+    return None
+
+
+def _json(value: object, parts: list[str], pad: str = "") -> None:
+    """Append the pieces of ``json.dumps(value, sort_keys=True, indent=2)``
+    to ``parts``, for str-keyed records; ``_format_payload`` joins them
+    once, so no nesting level copies its children's text.  With ``indent``
+    set, ``json.dumps`` runs its pure-Python encoder, one generator step per
+    list element; here a list that passes ``_int_list_repr``, such as a full
+    Apery set, is one ``repr`` with its separators replaced."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # exactly int: json writes the bool subclass as true/false; a list
-        # repr joins the reprs of its ints with ", "
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key in sorted(value):
+            parts += (lead, encode_basestring_ascii(key), ": ")
+            _json(value[key], parts, inner)
+            lead = ",\n" + inner
+        parts.append("\n" + pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
         sep = ",\n" + inner
-        plain = set(map(type, value)) == {int}
-        items = repr(list(value))[1:-1].replace(", ", sep) if plain else sep.join(_json(v, inner) for v in value)
-        return "[\n" + inner + items + "\n" + pad + "]"
-    return json.dumps(value)
+        text = _int_list_repr(value)
+        if text is not None:
+            parts += ("[\n" + inner, text[1:-1].replace(", ", sep))
+        else:
+            lead = "[\n" + inner
+            for item in value:
+                parts.append(lead)
+                _json(item, parts, inner)
+                lead = sep
+        parts.append("\n" + pad + "]" if value else "[]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict] | None = None) -> str:
     if fmt == "json":
-        return _json(record) + "\n"
+        parts: list[str] = []
+        _json(record, parts)
+        parts.append("\n")
+        return "".join(parts)
     if fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is not supported for this command")

@@ -7,13 +7,14 @@ the golden argvs.
 The argvs are the perfbench operation lists of the three workloads at
 ``--seconds 20`` for that seed (415, 580 and 220 operations), then the
 family sweep (``analyze`` with and without ``--full`` and ``frobenius``
-with and without ``--cross-check`` for n = 0..30 of both families, ``table``
-over 1..200 and ``verify`` over 1..20, each in text, json and csv, and the
-json ``verify`` sweeps tetrahedral 4..120 and triangular 3..400; 758
-argvs), followed by ``ARGVS`` from ``tests/test_cli_golden.py``.  One line
-per argv, in a fixed order, so two checkouts that must not differ in CLI
-output compare with one ``diff`` of their dumps.  Not a ``test_*`` file:
-pytest does not collect it.
+with and without ``--cross-check`` for n = 0..30 of both families, the
+largest ``--full`` reports the benchmark makes (triangular 800, tetrahedral
+120), ``table`` over 1..200 and ``verify`` over 1..20, each in text, json
+and csv, and the json ``verify`` sweeps tetrahedral 4..120 and triangular
+3..400; 764 argvs), followed by ``ARGVS`` from ``tests/test_cli_golden.py``.
+One line per argv, in a fixed order, so two checkouts that must not differ
+in CLI output compare with one ``diff`` of their dumps.  Not a ``test_*``
+file: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ def family_sweep() -> list[tuple[str, ...]]:
                 for extra in ((), (flag,)):
                     for fmt in FORMATS:
                         out.append((command, f"--{family}", str(n), *extra, "--format", fmt))
+    for family, n in (("triangular", 800), ("tetrahedral", 120)):
+        for fmt in FORMATS:
+            out.append(("analyze", f"--{family}", str(n), "--full", "--format", fmt))
     for command, span in (("table", "1..200"), ("verify", "1..20")):
         for family in FAMILIES:
             for fmt in FORMATS:

@@ -10,7 +10,8 @@ constants by lookups in those tables, canonical witnesses by a greedy
 walk over sieve tables (the package runs a backtracking DFS), free Apery
 boxes filed element by element with a duplicate check (the package proves
 the residues distinct on one bitset first), the genus by counting sieve
-gaps (the package applies Selmer's formula to its Apery table).
+gaps (the package applies Selmer's formula to its Apery table), text and
+CSV fields item by item (the CLI writes a list of plain ints as its repr).
 Keep these dumb; they are the ground truth.
 """
 
@@ -214,3 +215,14 @@ def canonical_witness(value: int, gens: Sequence[int]) -> tuple[int, ...] | None
             coeffs[i] += 1
         rem -= coeffs[i] * gens[i]
     return tuple(coeffs)
+
+
+def scalar_field(value: object) -> str:
+    """A text or CSV field as the CLI writes it: a list or tuple item by
+    item as ``[a, b]``, a bool as ``true``/``false``, anything else by
+    ``str``."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(scalar_field(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)

@@ -1,10 +1,12 @@
 """Property tests driven through ``cli.main``: on random generator lists
 every method must agree, and the Frobenius number and the c* constants
 must match the heap-Dijkstra oracles.  The CLI's JSON writer must match
-``json.dumps(sort_keys=True, indent=2)`` byte for byte."""
+``json.dumps(sort_keys=True, indent=2)`` byte for byte, and its text and
+CSV fields the item-by-item writer of ``oracles.scalar_field``."""
 
 from __future__ import annotations
 
+import enum
 import io
 import json
 import math
@@ -12,13 +14,13 @@ import math
 import pytest
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsemi import cli, figurate, telescopic
 from numsemi.core import NumericalSemigroup
 
-from oracles import dijkstra_apery, dijkstra_cstars
+from oracles import dijkstra_apery, dijkstra_cstars, scalar_field
 
 
 def oracle_frobenius(gens: list[int]) -> int:
@@ -110,10 +112,39 @@ def test_json_writer_matches_json_dumps(value):
     assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Plain(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "value",
-    [(5,), [-1], [2**63, -(10**30)], [1, True], (3, -4, 2**70), {"a": [(7, 8), [0]]}],
+    [
+        (5,), [-1], [2**63, -(10**30)], [1, True], (3, -4, 2**70), {"a": [(7, 8), [0]]},
+        [1, "2"], [1, None], [1, [2, 3]], [1, (2,)], [1, {"a": 2}], [1, Colour.RED], [1, Plain(7)],
+        [1, 2**64, -(2**64) - 1, 10**40], {"elements": [0, Plain(-3), Colour.RED]},
+    ],
 )
 def test_json_writer_int_lists(value):
-    # a one-tuple's repr ends in ",)", and a bool among ints stays true
+    # a one-tuple's repr ends in ",)", and a bool among ints stays true; a
+    # str, None, container or IntEnum after a first plain int fails the repr
+    # check, and an int subclass with int's repr passes it
     assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+text_fields = st.recursive(
+    st.one_of(st.booleans(), json_ints, st.text(max_size=5)),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(text_fields, st.lists(json_ints), st.lists(json_ints).map(tuple)))
+@example([1, True])
+@example((5,))
+def test_text_field_matches_item_by_item_writer(value):
+    assert cli._scalar(value) == scalar_field(value)
