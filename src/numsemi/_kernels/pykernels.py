@@ -4,15 +4,20 @@
 (Algorithmica 2007) run over the subgroup of residues reached so far:
 each generator closes the reached cells under its least multiple that
 maps them to themselves, then fills the cosets it adds with no compare.
-O(e * m) with no heap.  It leaves the last generator's cosets unfilled:
-each of their cells is a base cell plus a multiple of that generator, so
-max, sum and lookups need no fill.  ``fill_cosets`` writes them out, and
-``apery_levels`` is the two in turn.  Vectors are enumerated in
-one canonical order everywhere: ascending by coefficient of the last
-generator, then the second-to-last, and so on (the first generator's
-coefficient is forced by divisibility).  One DFS, ``_walk``, walks them:
-``min_representation`` (and so ``is_representable``) stops at the first
-vector, the canonical witness, and ``factorizations_of`` collects them all.
+It leaves the last generator's cosets unfilled: each of their cells is a
+base cell plus a multiple of that generator, so max, sum and lookups need
+no fill.  The earlier generators reach only the multiples of D, their gcd
+with m, so the table is kept in index space, m / D cells with cell i for
+residue i D: O(e * m / D) with no heap, and no list of m cells.  The last
+generator is closed there as an index step with its own weight, which is
+why ``_fill`` takes the step and the weight apart.  ``fill_cosets`` writes
+the cosets out, and ``apery_levels`` is the two in turn.  Vectors are
+enumerated in one canonical order everywhere: ascending by coefficient of
+the last generator, then the second-to-last, and so on (the first
+generator's coefficient is forced by divisibility).  One DFS, ``_walk``,
+walks them: ``min_representation`` (and so ``is_representable``) stops at
+the first vector, the canonical witness, and ``factorizations_of``
+collects them all.
 """
 
 from __future__ import annotations
@@ -31,24 +36,29 @@ def apery_cosets(m: int, gens: Sequence[int]) -> tuple[list[int], int, int]:
     algorithm of Böcker & Lipták, "A fast and simple algorithm for the
     money changing problem", Algorithmica 48 (2007), over the subgroup
     of residues reached so far.  Generators are added one at a time in
-    ascending order.  Before generator g the reached residues are the
-    multiples of d (at first d = m: only 0 is reached); let e = gcd(d, g)
-    and k = d / e.  The arc k g, a multiple of d, splits the m / d
-    reached cells into cycles; starting each cycle at its least entry
-    (which k g cannot improve) and relaxing once around it leaves every
-    reached entry least over the generators added so far.  Then, for
-    0 < j < k and h a multiple of d, the least entry at h + j g is
-    table[h] + j g, set with no compare: any other path to it holds k
-    more copies of g, which the closing pass folded into table[h].  The
-    k - 1 new cosets are filled one stride slice each when m / d >= k,
-    else by k - 1 steps of g from each reached h.  Then d = e.  Cost
-    O(e * m), no heap, with the compare on only m / d cells per arc.
+    ascending order.  Every arc but the last is a multiple of D, the gcd
+    of m and those arcs, so they reach only the multiples of D: the
+    table holds m' = m / D cells, cell i for residue i D, and an arc
+    moves cell i to i + arc / D (mod m') at its own weight.  Before
+    generator g the reached residues are the multiples of d (at first
+    d = m: only 0 is reached); let e = gcd(d, g) and k = d / e.  The arc
+    k g, a multiple of d, splits the m / d reached cells into cycles;
+    starting each cycle at its least entry (which k g cannot improve) and
+    relaxing once around it leaves every reached entry least over the
+    generators added so far.  Then, for 0 < j < k and h a multiple of d,
+    the least entry at h + j g is table[h] + j g, set with no compare:
+    any other path to it holds k more copies of g, which the closing pass
+    folded into table[h].  The k - 1 new cosets are filled by ``_fill``.
+    Then d = e.  The last arc is closed as the index step k g / D (mod
+    m') at weight k g, which is the step g at weight D g when
+    gcd(D, g) = 1, and not filled.  Cost O(e * m / D), no heap, with the
+    compare on only m / d cells per arc; nothing of m cells is built.
 
-    The last arc g is closed but not filled: ``base[i]`` is the least
-    element congruent to i d, d the index of the residues reached before
-    g, and the least element at (h + j g) mod m, h = i d, 0 <= j < d, is
-    base[i] + j g.  d = 1 means ``base`` is the whole table; with no arc
-    (m = 1) g is 0.  ``fill_cosets`` writes out the d - 1 cosets.
+    So ``base[i]`` is the least element congruent to i d, d = D the index
+    of the residues reached before g, and the least element at
+    (h + j g) mod m, h = i d, 0 <= j < d, is base[i] + j g.  d = 1 means
+    ``base`` is the whole table; with no arc (m = 1) g is 0.
+    ``fill_cosets`` writes out the d - 1 cosets.
 
     Requires every class to be reachable (holds whenever gcd(gens) == 1);
     d > 1 after the last generator leaves some residue unreachable.
@@ -70,28 +80,31 @@ def apery_cosets(m: int, gens: Sequence[int]) -> tuple[list[int], int, int]:
         if m > 1:
             raise ValueError("unreachable residue class (generators not coprime)")
         return [0], 1, 0
+    D = math.gcd(m, *arcs[:-1])  # the last arc's d; m when it is the only arc
+    cells = m // D
     # A least entry is a path of at most m - 1 arcs, so it stays below this.
     unset = m * arcs[-1]
-    dist = [unset] * m
+    dist = [unset] * cells
     dist[0] = 0
     d = m  # the residues reached so far are the multiples of d
     for g in arcs:
         e = math.gcd(d, g)
         k = d // e
         arc = k * g
-        step = arc % m
+        step = arc // D % cells
         if step:
-            cycles = math.gcd(m, step)
-            for p in range(0, cycles, d):
-                # An arc coprime to m walks the whole table: take its
+            cycles = math.gcd(cells, step)
+            for p in range(0, cycles, d // D):
+                # An arc coprime to m' walks the whole table: take its
                 # minimum in place rather than copy it.
                 v = min(dist[p::cycles]) if cycles > 1 else min(dist)
-                # Every entry is congruent to its residue, so v sits at v % m.
-                r = v % m
-                for _ in range(m // cycles - 1):
+                # Every entry is congruent to its residue, so v sits at
+                # cell (v % m) / D.
+                r = v % m // D
+                for _ in range(cells // cycles - 1):
                     r += step
-                    if r >= m:
-                        r -= m
+                    if r >= cells:
+                        r -= cells
                     v += arc
                     w = dist[r]
                     if w < v:
@@ -101,37 +114,36 @@ def apery_cosets(m: int, gens: Sequence[int]) -> tuple[list[int], int, int]:
         if g == arcs[-1]:
             break
         if k > 1:
-            _fill(dist, d, k, g)
+            _fill(dist, d // D, k, g // D, g)
         d = e
-    base = dist if d == 1 else dist[::d]
     limit = _INT64_MAX - g
     top = (k - 1) * g  # the last arc's fill adds 0..top to each base entry
     # a reachable entry is at most unset - g, so none passes limit while
     # unset fits; arcs coprime to m reach every entry
-    if unset > _INT64_MAX and max(base) + top > limit:
+    if unset > _INT64_MAX and max(dist) + top > limit:
         # the first step past limit in each coset row that gets there
-        least = min(b + max(0, (limit - b) // g + 1) * g for b in base if b + top > limit)
+        least = min(b + max(0, (limit - b) // g + 1) * g for b in dist if b + top > limit)
         raise OverflowError(f"Apery element exceeds the 64-bit range near residue {least % m}")
     if e > 1:
         raise ValueError("unreachable residue class (generators not coprime)")
-    return base, d, g
+    return dist, D, g
 
 
-def _fill(dist: list[int], d: int, k: int, g: int) -> None:
-    """Set dist[(h + j g) mod m] = dist[h] + j g for every multiple h of d
-    and 0 < j < k: one stride slice per coset when m / d >= k, else k - 1
-    steps of g from each h."""
+def _fill(dist: list[int], d: int, k: int, step: int, weight: int) -> None:
+    """Set dist[(h + j step) mod m] = dist[h] + j weight for every multiple
+    h of d and 0 < j < k, m = len(dist): one stride slice per coset when
+    m / d >= k, else k - 1 steps from each h."""
     m = len(dist)
     reached = m // d
     if k <= reached:
         sub = dist[::d]
         for j in range(1, k):
-            # cell i d + j g is slot (i + b) mod (m / d) of dist[a::d]
-            b, a = divmod(j * g % m, d)
-            w = j * g
+            # cell i d + j step is slot (i + b) mod (m / d) of dist[a::d]
+            b, a = divmod(j * step % m, d)
+            w = j * weight
             dist[a::d] = [x + w for x in sub[reached - b :]] + [x + w for x in sub[: reached - b]]
     else:
-        step = g % m
+        step %= m
         for h in range(0, m, d):
             v = dist[h]
             r = h
@@ -139,17 +151,18 @@ def _fill(dist: list[int], d: int, k: int, g: int) -> None:
                 r += step
                 if r >= m:
                     r -= m
-                v += g
+                v += weight
                 dist[r] = v
 
 
 def fill_cosets(base: list[int], d: int, g: int) -> list[int]:
-    """The whole table of the coset form ``apery_cosets`` returns."""
+    """The whole table of the coset form ``apery_cosets`` returns: cell
+    i d + j g takes base[i] + j g, the step and the weight both g."""
     if d == 1:
         return base
     dist = [0] * (len(base) * d)
     dist[::d] = base
-    _fill(dist, d, d, g)
+    _fill(dist, d, d, g, g)
     return dist
 
 

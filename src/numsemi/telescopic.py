@@ -267,9 +267,30 @@ def free_frobenius(fd: FreeDecomposition) -> int:
 
 def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
     """True when the n_1 box sums (positive entries, c* product n_1) have
-    n_1 residues mod n_1, held as the bits of one int: coordinate j ORs the
-    set with its rotations by lam * n_j, doubling the run of lam covered."""
+    n_1 residues mod n_1.
+
+    First by the divide chain, in e - 1 gcds: let g_0 = n_1 and g_j =
+    gcd(g_{j-1}, n_{j+1}).  The residues n_2..n_{j+1} generate in Z/n_1
+    are the multiples of g_j, a subgroup of index g_{j-1} / g_j over that
+    of g_{j-1}.  So when every c*_j is that index, the sums with lam_i = 0
+    past j fill the multiples of g_j once each, by induction on j: the
+    c*_j multiples of n_{j+1} fall in distinct cosets of the multiples of
+    g_{j-1}.  With the last g 1 that is every residue once (Rosales &
+    García-Sánchez, *Numerical Semigroups*, 2009: a free arrangement
+    passes, its c* being the quotients of the gcd chain).
+
+    Otherwise, exactly, with the residues held as the bits of one int:
+    coordinate j ORs the set with its rotations by lam * n_j, doubling the
+    run of lam covered."""
     anchor = arrangement[0]
+    g = anchor
+    for c, n in zip(cstars, arrangement[1:]):
+        g, prev = math.gcd(g, n), g
+        if c * g != prev:
+            break
+    else:
+        if g == 1:
+            return True
     mask, seen = (1 << anchor) - 1, 1  # the empty sum: residue 0
     for c, n in zip(cstars, arrangement[1:]):
         span = 1  # seen holds the sums with lam_j < span

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -88,7 +89,9 @@ def test_apery_trivial_modulus():
 def test_apery_rejects_unreachable_residues():
     # (4, (2**61 + 2,)): residues 1 and 3 are unreachable, and no entry
     # overflows.
-    for m, gens in ((4, (6, 10)), (4, ()), (3, (3, 6)), (4, (2**61 + 2,))):
+    # (6, (2, 2**62)): the arc 2**62 keeps to the even residues, and no
+    # entry overflows.
+    for m, gens in ((4, (6, 10)), (4, ()), (3, (3, 6)), (4, (2**61 + 2,)), (6, (2, 2**62))):
         for kernel in APERY_ENTRY_POINTS:
             with pytest.raises(ValueError, match="unreachable residue class"):
                 kernel(m, gens)
@@ -106,6 +109,16 @@ def test_apery_overflow_guard():
         # Entry plus largest arc: 2**63 overflows, 2**63 - 2 does not.
         with pytest.raises(OverflowError, match="near residue 1$"):
             kernel(2, (big - 1, big + 1))
+        # The earlier arcs reach the multiples of D = 2 or 3 only; the
+        # last arc's fill overflows in the coset of the residue named.
+        for m, gens, residue in (
+            (4, (2, big + 1), 1),
+            (6, (4, big + 3), 1),
+            (10, (4, big - 1), 7),
+            (9, (3, 2**63 - 10), 7),
+        ):
+            with pytest.raises(OverflowError, match=f"near residue {residue}$"):
+                kernel(m, gens)
     assert pykernels.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
     # the arc big - 3 reaches both residues: d = 1, the base is the table
     assert pykernels.apery_cosets(2, (big - 3, big + 1)) == ([0, big - 3], 1, big + 1)
@@ -173,6 +186,53 @@ def _outcome(kernel, m, gens):
 def test_round_robin_matches_heap_dijkstra_as_the_reached_subgroup_grows(case):
     m, gens = case
     assert _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
+
+
+@st.composite
+def scaled_prefix(draw):
+    """m = D q and earlier generators D p_i with gcd(q, p) = 1, so they
+    reach exactly the multiples of D, then a last generator coprime to D
+    above them, at times near 2**62 or 2**63 so the fill overflows."""
+    D = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 15))
+    prefix = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    assume(math.gcd(q, *prefix) == 1)
+    top = D * max(prefix)
+    g = top + draw(st.one_of(st.integers(1, 200), st.integers(2**62 - top, 2**63 - 1 - top)))
+    assume(math.gcd(g, D) == 1)
+    return D * q, draw(st.permutations([D * p for p in prefix] + [g])), D
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scaled_prefix())
+# D = 4: 3 base cells; the arc 9 closes them under 36
+@example((12, (8, 4, 9), 4))
+# D = 6, one base cell: the prefix arc 6 is a multiple of m
+@example((6, (6, 7), 6))
+# the fill overflows in the coset of residue 5
+@example((6, (2, 2**62 + 1), 2))
+def test_round_robin_keeps_the_cells_the_earlier_arcs_reach(case):
+    m, gens, D = case
+    expected = _outcome(dijkstra_apery, m, gens)
+    assert _outcome(pykernels.apery_levels, m, gens) == _outcome(_filled, m, gens) == expected
+    if isinstance(expected, list):
+        base, d, g = pykernels.apery_cosets(m, gens)
+        assert (d, g) == (D, max(gens))
+        assert len(base) == m // D
+        assert base == expected[::D]
+
+
+def test_coset_form_allocates_only_the_reached_cells():
+    # triangular n = 4471: m = 9,997,156 and D = 2236, so 4471 base cells
+    gens = triangular_generators(4471)
+    tracemalloc.start()
+    try:
+        base, d, g = pykernels.apery_cosets(gens[0], gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(base), d, g) == (4471, 2236, gens[2])
+    assert peak < 2**20
 
 
 @st.composite

@@ -438,6 +438,28 @@ def test_box_is_apery_accepts_the_reverse_tetrahedral_boxes():
         assert _box_is_apery(NumericalSemigroup(gens), form.arrangement, form.cstars)
 
 
+def test_free_boxes_pass_the_divide_chain_residue_proof():
+    # A free arrangement's c* are the quotients d_{i-1} / d_i of its divide
+    # chain down to 1 (test_free_exactly_when_telescopic), which settles
+    # the residue proof in e - 1 gcds with no bitset; random free
+    # arrangements pass it in the box sweep above.
+    forms = [triangular_cstar(n) for n in (3, 4, 4470, 4471)]
+    forms += [tetrahedral_cstar(n) for n in (4, 10, 11, 387)]
+    for form in forms:
+        chain = divide_chain(form.arrangement)
+        assert chain[-1] == 1
+        assert tuple(form.cstars) == tuple(p // d for p, d in zip(chain, chain[1:]))
+        assert _residues_distinct(form.arrangement, form.cstars)
+    # an anchor of 2**40: a bitset of its residues would take 128 GiB
+    assert _residues_distinct((2**40, 3 * 2**20, 3), (2**20, 2**20))
+
+
+def test_residue_proof_stays_exact_where_the_chain_does_not_settle():
+    # gcd(4, 1) = 1 asks c*_1 = 4: the chain fails, yet the sums 0..3 are
+    # distinct, and the bitset says so
+    assert _residues_distinct((4, 1, 2), (2, 2))
+
+
 def test_box_is_apery_rejects_what_is_no_apery_set():
     S = NumericalSemigroup(triangular_generators(6))  # <21, 28, 36>, c* (3, 7)
     assert _box_is_apery(S, (21, 28, 36), (3, 7))
