@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -277,7 +278,10 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def _apery_summary(anchor: int, elements: list[int], full: bool) -> dict:
-    """The ``apery`` record of Ap(S, anchor), given its elements sorted."""
+    """The ``apery`` record of Ap(S, anchor), given its elements sorted:
+    all of them with ``full`` or when there are at most 6, else the three
+    smallest and the three largest.  ``_box_summary`` writes the same
+    record for a c* box without listing it."""
     summary: dict = {
         "anchor": anchor,
         "size": len(elements),
@@ -290,6 +294,27 @@ def _apery_summary(anchor: int, elements: list[int], full: bool) -> dict:
         summary["smallest"] = elements[:3]
         summary["largest"] = elements[-3:]
     return summary
+
+
+def _box_summary(arrangement: tuple[int, ...], cstars: tuple[int, ...], full: bool) -> dict:
+    """``_apery_summary`` of the c* box ``telescopic.apery_box(arrangement,
+    cstars)``.  Short of the whole list, only its three smallest elements
+    are swept; the map lam_j -> c*_j - 1 - lam_j takes the box onto
+    top - box, top = sum (c*_j - 1) n_j, so the three largest are top
+    minus those, reversed, and the size is the anchor."""
+    anchor = arrangement[0]
+    if full or anchor <= 6:
+        return _apery_summary(anchor, telescopic.box_elements(arrangement, cstars), full)
+    smallest = list(islice(chain.from_iterable(telescopic._ascending_runs(arrangement, cstars)), 3))
+    top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
+    return {
+        "anchor": anchor,
+        "size": anchor,
+        "max": top,
+        "frobenius_from_apery": top - anchor,
+        "smallest": smallest,
+        "largest": [top - w for w in reversed(smallest)],
+    }
 
 
 def _betti_bound(args: argparse.Namespace) -> int | None:
@@ -375,10 +400,7 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         record["free"] = True
         record["presentation"] = [{"lhs": list(l), "rhs": list(r)} for l, r in forms.presentation(n).relations]
         record["betti"] = _betti_upto(forms.betti(n), bound)
-        # the box in ascending runs, which timsort merges
-        elements = telescopic.box_elements(form.arrangement, form.cstars)
-        elements.sort()
-        record["apery"] = _apery_summary(form.arrangement[0], elements, args.full)
+        record["apery"] = _box_summary(form.arrangement, form.cstars, args.full)
     else:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate._REDUCED_EDIM_MSG

@@ -9,9 +9,11 @@ Frobenius number.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, repeat
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
@@ -349,14 +351,56 @@ def _filed_box(anchor: int, bases: list[int], n: int, c: int) -> AperySet:
     return AperySet(anchor, tuple(by_residue))
 
 
-def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
-    """The elements of ``apery_box(arrangement, cstars)`` in box order, one
-    run of n_e's multiples per base; a box that fails the residue proof or
-    has a non-positive entry is filed as ``apery_box`` files it."""
+def _ascending_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[Iterable[int]]:
+    """The elements of ``apery_box(arrangement, cstars)`` in ascending
+    order, as runs to be read in turn, each before the next is drawn.
+
+    A box with positive entries whose residues pass the proof is swept
+    level by level.  Write a base of ``_box`` as q n_e + r: its run
+    base + lam n_e (lam < c*_e) holds the element level n_e + r at each
+    level q..q + c*_e - 1.  The elements are distinct, so the offsets r active at
+    one level are too, and the level's run is level n_e plus the active
+    offsets, kept sorted.  A level with no active offset is skipped, so the
+    sweep's steps are bounded by the elements, not by the levels.  Any
+    other box is filed as ``apery_box`` files it, then sorted."""
     bases, n, c = _box(arrangement, cstars)
-    if min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars):
-        return list(chain.from_iterable([range(base, base + c * n, n) for base in bases]))
-    return list(_filed_box(arrangement[0], bases, n, c).by_residue)
+    if not (min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars)):
+        yield sorted(_filed_box(arrangement[0], bases, n, c).by_residue)
+        return
+    bases.sort()
+    # (first level, n_e - offset), in order of entry and of exit.  A run is
+    # read as (level + 1) n_e minus these, reversed: a difference of
+    # positive ints takes the larger's size, a sum one digit more, which
+    # past 2**30 is a 48-byte int, not a 32-byte one.
+    runs = [(base // n, n - base % n) for base in bases]
+    active: list[int] = []
+    entered = left = 0
+    level = runs[0][0]
+    while left < len(runs):
+        while left < entered and runs[left][0] + c == level:
+            del active[bisect_left(active, runs[left][1])]
+            left += 1
+        while entered < len(runs) and runs[entered][0] == level:
+            insort(active, runs[entered][1])
+            entered += 1
+        if not active:
+            if entered < len(runs):
+                level = runs[entered][0]
+            continue
+        stop = runs[left][0] + c
+        if entered < len(runs):
+            stop = min(stop, runs[entered][0])
+        for level in range(level, stop):
+            yield map(sub, repeat((level + 1) * n), reversed(active))
+        level = stop
+
+
+def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
+    """The elements of ``apery_box(arrangement, cstars)`` in ascending
+    order, swept level by level (``_ascending_runs``); a box that fails the
+    residue proof or has a non-positive entry is filed as ``apery_box``
+    files it, then sorted."""
+    return list(chain.from_iterable(_ascending_runs(arrangement, cstars)))
 
 
 def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from numsemi import _kernels, telescopic
+from numsemi import _kernels, cli, telescopic
 from numsemi.core import APERY_MATERIALIZE_LIMIT, NumericalSemigroup, evaluate, frobenius_oracle
 from numsemi.errors import InvariantViolation, NotCoprimeError
 from numsemi.figurate import (
@@ -373,7 +373,7 @@ def test_apery_box_falls_back_to_the_checked_constructor():
         apery_box((6, 10, 15), (-2, -3))
     # a zero entry with c* 1 leaves the box of the free <6, 10, 15>: filed, in residue order
     assert apery_box((6, 0, 10, 15), (1, 3, 2)).by_residue == (0, 25, 20, 15, 10, 35)
-    assert box_elements((6, 0, 10, 15), (1, 3, 2)) == [0, 25, 20, 15, 10, 35]
+    assert box_elements((6, 0, 10, 15), (1, 3, 2)) == [0, 10, 15, 20, 25, 35]
     # with c* 2 on the zero entry, 0 is in the box twice
     for build in (apery_box, box_elements):
         with pytest.raises(InvariantViolation, match="^duplicate Apery residue 0: broken free decomposition$"):
@@ -421,12 +421,40 @@ def test_box_elements_match_the_apery_set_on_random_free_arrangements():
         checked += 1
         anchor = fd.arrangement[0]
         elements = box_elements(fd.arrangement, fd.cstars)
-        assert elements == _box(fd.arrangement, fd.cstars)  # box order
+        assert elements == sorted(_box(fd.arrangement, fd.cstars))
         assert sorted(elements) == sorted(apery_box(fd.arrangement, fd.cstars).by_residue)
         assert sorted(elements) == sorted(S.apery(anchor).by_residue)
         assert apery_box(fd.arrangement, fd.cstars).by_residue == tuple(filed_box(fd.arrangement, fd.cstars))
         assert _residues_distinct(fd.arrangement, fd.cstars)
         assert _box_is_apery(S, fd.arrangement, fd.cstars)
+
+
+def test_box_elements_skip_the_empty_levels():
+    # runs of n_e = 1 at levels 0 and 2,000,000,002: the sweep jumps the gap
+    start = time.perf_counter()
+    assert box_elements((4, 2_000_000_002, 1), (2, 2)) == [0, 1, 2000000002, 2000000003]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_box_elements_with_a_last_cstar_of_one():
+    # every run of n_e = 5 is one level long, and offsets 0 and 2 enter twice
+    arrangement, cstars = (6, 2, 3, 5), (3, 2, 1)
+    assert _residues_distinct(arrangement, cstars)
+    assert box_elements(arrangement, cstars) == sorted(_box(arrangement, cstars)) == [0, 2, 3, 4, 5, 7]
+
+
+@pytest.mark.parametrize("kind", ["triangular", "tetrahedral"])
+def test_family_summaries_match_the_sorted_box(kind):
+    # every n below 90 at full embedding dimension, against the box filed
+    # by residue and sorted
+    forms = cli._closed_forms(kind)
+    for n in range(1, 90):
+        if figurate_embedding_dimension(kind, n) != len(forms.generators(n)):
+            continue
+        form = forms.cstar(n)
+        elements = sorted(filed_box(form.arrangement, form.cstars))
+        summary = cli._box_summary(form.arrangement, form.cstars, False)
+        assert summary == cli._apery_summary(form.arrangement[0], elements, False), (kind, n)
 
 
 def test_box_is_apery_accepts_the_reverse_tetrahedral_boxes():
@@ -513,6 +541,16 @@ def test_box_checks_match_the_per_element_filing(box):
         assert distinct
         assert apery_box(arrangement, cstars).by_residue == tuple(by_residue)
         assert sorted(box_elements(arrangement, cstars)) == sorted(by_residue)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(product_boxes())
+@example(((6, 10, 15), (3, 2)))
+@example(((6, 9, 2), (2, 3)))  # runs at levels 0..2 and 4..6: level 3 is empty
+def test_box_elements_sweep_distinct_boxes_in_ascending_order(box):
+    arrangement, cstars = box
+    assume(_residues_distinct(arrangement, cstars))
+    assert box_elements(arrangement, cstars) == sorted(_box(arrangement, cstars))
 
 
 def test_free_presentation_examples():
