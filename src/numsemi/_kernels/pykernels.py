@@ -15,9 +15,9 @@ the cosets out, and ``apery_levels`` is the two in turn.  Vectors are
 enumerated in one canonical order everywhere: ascending by coefficient of
 the last generator, then the second-to-last, and so on (the first
 generator's coefficient is forced by divisibility).  One DFS, ``_walk``,
-walks them: ``min_representation`` (and so ``is_representable``) stops at
-the first vector, the canonical witness, and ``factorizations_of``
-collects them all.
+walks them: ``min_representation`` and ``is_representable`` stop at the
+first vector, the canonical witness, or give up past an optional node
+budget, and ``factorizations_of`` collects them all.
 """
 
 from __future__ import annotations
@@ -178,11 +178,13 @@ def _first(coeffs: list[int]) -> bool:
 
 
 def _walk(
-    x: int, gens: Sequence[int], visit: Callable[[list[int]], bool | None]
-) -> list[int] | None:
+    x: int, gens: Sequence[int], visit: Callable[[list[int]], bool | None], budget: int | None = None
+) -> list[int] | None | bool:
     """The coefficient DFS: hand each representation of ``x`` over ``gens``
     to ``visit`` in canonical order, until ``visit`` returns true.  Returns
-    the vector it stopped at (the DFS's own list), or None."""
+    the vector it stopped at (the DFS's own list), or None.  Each node is
+    charged as the walk enters it: with a ``budget`` it gives up rather
+    than enter node budget + 1, and returns False."""
     if not gens:
         raise ValueError("generators must be non-empty")
     if x < 0:
@@ -199,8 +201,13 @@ def _walk(
         acc = math.gcd(acc, g)
         pg.append(acc)
     coeffs = [0] * len(gens)
+    left = math.inf if budget is None else budget  # nodes the walk may still enter
 
     def rec(i: int, rem: int) -> bool | None:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            return True  # give up: unwind as from a stop
         if rem % pg[i]:
             return False
         if i == 0:
@@ -214,22 +221,27 @@ def _walk(
         coeffs[i] = 0
         return False
 
-    return coeffs if rec(len(gens) - 1, x) else None
+    if not rec(len(gens) - 1, x):
+        return None
+    return coeffs if left >= 0 else False
 
 
-def min_representation(x: int, gens: Sequence[int]) -> tuple[int, ...] | None:
+def min_representation(x: int, gens: Sequence[int], budget: int | None = None) -> tuple[int, ...] | None:
     """Canonical representation of ``x`` over ``gens``, or None.
 
     First solution in the canonical enumeration order, i.e. the one with
-    the smallest coefficients on the latest generators.
+    the smallest coefficients on the latest generators.  Also None when
+    the walk would enter more than ``budget`` nodes.
     """
-    coeffs = _walk(x, gens, _first)
-    return None if coeffs is None else tuple(coeffs)
+    coeffs = _walk(x, gens, _first, budget)
+    return tuple(coeffs) if coeffs else None
 
 
-def is_representable(x: int, gens: Sequence[int]) -> bool:
-    """True iff ``x`` is a non-negative integer combination of ``gens``."""
-    return min_representation(x, gens) is not None
+def is_representable(x: int, gens: Sequence[int], budget: int | None = None) -> bool | None:
+    """True iff ``x`` is a non-negative integer combination of ``gens``;
+    None when the walk would enter more than ``budget`` nodes."""
+    coeffs = _walk(x, gens, _first, budget)
+    return None if coeffs is False else coeffs is not None
 
 
 def factorizations_of(x: int, gens: Sequence[int]) -> list[tuple[int, ...]]:

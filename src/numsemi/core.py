@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from numsemi import _kernels
-from numsemi.arith import checked_int64, gcd_list, validated_generators
+from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
 # Largest Apery set (one int per residue) the package materializes.
@@ -376,11 +376,28 @@ def _betti_loop(gens: tuple[int, ...], table: list[int], top: int) -> set[int]:
 def _minimalize(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce to the minimal generating set: drop entries representable
     over the smaller kept ones (ascending scan is sufficient because any
-    representation of g only uses entries <= g)."""
+    representation of g only uses entries <= g).
+
+    Each test is a DFS on a budget of len(kept) n_1 nodes, the cost of the
+    table that answers once it gives up: with d = gcd(kept), g is redundant
+    iff d | g and g / d >= the least element of <kept / d> in its class mod
+    n_1 / d.  Past the desk-scale limit, or with entries (< n_1 max(kept))
+    past 64 bits, the DFS runs to the end instead."""
     kept: list[int] = []
+    table: list[int] | None = None  # the table of <kept / d>, for the current kept
     for g in sorted(set(seq)):
-        if not kept or not _kernels.is_representable(g, tuple(kept)):
+        found = bool(kept) and _kernels.is_representable(g, kept, len(kept) * kept[0])
+        if found is None:
+            d = gcd_list(kept)
+            if kept[0] // d > APERY_MATERIALIZE_LIMIT or kept[0] * kept[-1] > INT64_MAX:
+                found = _kernels.is_representable(g, kept)
+            else:
+                if table is None:
+                    table = _kernels.apery_levels(kept[0] // d, [k // d for k in kept])
+                found = g % d == 0 and g // d >= table[g // d % len(table)]
+        if not found:
             kept.append(g)
+            table = None
     return tuple(kept)
 
 

@@ -177,11 +177,13 @@ def _least_multiple(prefix: tuple[int, ...], target: int, j_max: int) -> int | N
     minimal, coprime ``prefix``, or None: from the prefix table up to the
     desk-scale limit.  Above it, if no entry of the table mod target can
     leave 64 bits, from that table: a positive element is an entry g plus
-    an element least in its class -g mod target.  Else one DFS per j."""
+    an element least in its class -g mod target.  Else the prefix is
+    refused as the table it would need."""
     if min(prefix) > APERY_MATERIALIZE_LIMIT >= target and target * max(prefix) <= INT64_MAX:
         dist = _kernels.apery_levels(target, prefix)
         j = min(g + dist[-g % target] for g in prefix) // target
         return j if j <= j_max else None
+    require_desk_scale(min(prefix))
     semigroup = NumericalSemigroup(prefix)
     return next((j for j in range(1, j_max + 1) if semigroup.contains(j * target)), None)
 
@@ -197,11 +199,11 @@ def cstar_constants(
     prefix divided by d_{i-1}, whose entries are minimal: a representation
     of one by the others, times d_{i-1}, would be one in the arrangement.
     j = 1 exactly where the arrangement is telescopic, so the walk first
-    asks the DFS ``is_telescopic`` runs for the witness of t_i, where it
-    can visit no more nodes than the prefix table has cells.  A position
-    left without one looks further (``_least_multiple``), then takes the
-    DFS for j * t_i.  ``_semigroup`` is the semigroup of the arrangement
-    when the caller holds it: it is not minimalized again.
+    asks the DFS ``is_telescopic`` runs for the witness of t_i, on a
+    budget of the prefix table's cost.  A position left without one looks
+    further (``_least_multiple``), then takes the DFS for j * t_i.
+    ``_semigroup`` is the semigroup of the arrangement when the caller
+    holds it: it is not minimalized again.
     """
     entries = validated_generators(arrangement)
     chain = tuple(accumulate(entries, math.gcd))
@@ -219,18 +221,8 @@ def cstar_constants(
     for n_i, scaled_prefix, target, q in _divide_walk(entries, chain):
         k_max = INT64_MAX // n_i  # the largest k with k * n_i in 64 bits
         j_max = k_max // q
-        # ask the DFS for t_i when its nodes are at most the cells of the
-        # prefix table: it tries t_i // p + 1 coefficients for each entry p
-        # after the first, whose coefficient is forced; for the second,
-        # one that leaves a multiple of the first recurs with period
-        # first / gcd(first, second), and the DFS stops at its first vector
-        first, *rest = scaled_prefix
-        nodes = math.prod(target // p + 1 for p in rest[1:])
-        if rest:
-            nodes *= min(target // rest[0] + 1, first // math.gcd(first, rest[0]))
-        witness = None
-        if j_max and nodes <= len(scaled_prefix) * min(scaled_prefix):
-            witness = _kernels.min_representation(target, scaled_prefix)
+        budget = len(scaled_prefix) * min(scaled_prefix)  # the cells of the prefix table
+        witness = _kernels.min_representation(target, scaled_prefix, budget) if j_max else None
         j = 1
         if witness is None:
             j = _least_multiple(scaled_prefix, target, j_max) if j_max else None
@@ -268,40 +260,25 @@ def free_frobenius(fd: FreeDecomposition) -> int:
 
 
 def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
-    """True when the n_1 box sums (positive entries, c* product n_1) have
-    n_1 residues mod n_1.
+    """True when the divide chain proves that the n_1 box sums (c* product
+    n_1) have n_1 residues mod n_1; False says only that it does not.
 
-    First by the divide chain, in e - 1 gcds: let g_0 = n_1 and g_j =
-    gcd(g_{j-1}, n_{j+1}).  The residues n_2..n_{j+1} generate in Z/n_1
-    are the multiples of g_j, a subgroup of index g_{j-1} / g_j over that
-    of g_{j-1}.  So when every c*_j is that index, the sums with lam_i = 0
-    past j fill the multiples of g_j once each, by induction on j: the
-    c*_j multiples of n_{j+1} fall in distinct cosets of the multiples of
-    g_{j-1}.  With the last g 1 that is every residue once (Rosales &
-    García-Sánchez, *Numerical Semigroups*, 2009: a free arrangement
-    passes, its c* being the quotients of the gcd chain).
-
-    Otherwise, exactly, with the residues held as the bits of one int:
-    coordinate j ORs the set with its rotations by lam * n_j, doubling the
-    run of lam covered."""
-    anchor = arrangement[0]
-    g = anchor
+    In e - 1 gcds: let g_0 = n_1 and g_j = gcd(g_{j-1}, n_{j+1}).  The
+    residues n_2..n_{j+1} generate in Z/n_1 are the multiples of g_j, a
+    subgroup of index g_{j-1} / g_j over that of g_{j-1}.  So when every
+    c*_j is that index, the sums with lam_i = 0 past j fill the multiples
+    of g_j once each, by induction on j: the c*_j multiples of n_{j+1}
+    fall in distinct cosets of the multiples of g_{j-1}.  With the last g
+    1 that is every residue once (Rosales & García-Sánchez, *Numerical
+    Semigroups*, 2009: a free arrangement passes, its c* being the
+    quotients of the gcd chain).  A box the chain does not settle is
+    filed element by element (``_filed_box``)."""
+    g = arrangement[0]
     for c, n in zip(cstars, arrangement[1:]):
         g, prev = math.gcd(g, n), g
         if c * g != prev:
-            break
-    else:
-        if g == 1:
-            return True
-    mask, seen = (1 << anchor) - 1, 1  # the empty sum: residue 0
-    for c, n in zip(cstars, arrangement[1:]):
-        span = 1  # seen holds the sums with lam_j < span
-        while span < c:
-            step = min(span, c - span)
-            k = step * n % anchor
-            seen |= ((seen << k) & mask) | (seen >> (anchor - k))
-            span += step
-    return seen.bit_count() == anchor
+            return False
+    return g == 1
 
 
 def _box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
@@ -312,7 +289,9 @@ def _box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cst
     when the two sums agree.  The box is symmetric about top / 2, top =
     sum (c*_j - 1) n_j, so its sum is a top / 2; by Selmer's identity that
     of Ap(S, a) is a g + a (a - 1) / 2, g the genus (Rosales &
-    García-Sánchez 2009, ch. 1).  They agree exactly when top - a = 2 g - 1."""
+    García-Sánchez 2009, ch. 1).  They agree exactly when top - a = 2 g - 1.
+    A box the divide chain does not prove distinct is rejected; ``verify``
+    asks only with the c* of a free arrangement, the chain's quotients."""
     anchor = arrangement[0]
     require_desk_scale(anchor)
     if min(cstars, default=1) < 1 or math.prod(cstars) != anchor:
@@ -355,8 +334,8 @@ def _ascending_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterat
     """The elements of ``apery_box(arrangement, cstars)`` in ascending
     order, as runs to be read in turn, each before the next is drawn.
 
-    A box with positive entries whose residues pass the proof is swept
-    level by level.  Write a base of ``_box`` as q n_e + r: its run
+    A box with positive entries whose residues the chain proves distinct
+    is swept level by level.  Write a base of ``_box`` as q n_e + r: its run
     base + lam n_e (lam < c*_e) holds the element level n_e + r at each
     level q..q + c*_e - 1.  The elements are distinct, so the offsets r active at
     one level are too, and the level's run is level n_e plus the active
@@ -397,9 +376,9 @@ def _ascending_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterat
 
 def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
     """The elements of ``apery_box(arrangement, cstars)`` in ascending
-    order, swept level by level (``_ascending_runs``); a box that fails the
-    residue proof or has a non-positive entry is filed as ``apery_box``
-    files it, then sorted."""
+    order, swept level by level (``_ascending_runs``); a box the divide
+    chain does not settle, or with a non-positive entry, is filed as
+    ``apery_box`` files it, then sorted."""
     return list(chain.from_iterable(_ascending_runs(arrangement, cstars)))
 
 

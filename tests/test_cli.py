@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,30 @@ def test_analyze_gens_above_the_materialize_limit_refuses_before_the_cstar_searc
         assert code == 2
         assert "desk-scale" in captured.err
         assert captured.out == ""
+
+
+def test_analyze_gens_refuses_a_cstar_prefix_above_the_materialize_limit(capsys):
+    # n_1 = 7, but c*_4 needs j * 20000003 in <10000019, 10000079>, whose
+    # table may not be built; the least j is 322,589, one DFS each
+    start = time.perf_counter()
+    code = cli.main(["analyze", "--gens", "10000019,10000079,20000003,7"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert captured.err == "error: Apery set of size 10000019 exceeds the desk-scale limit (10000000)\n"
+    assert captured.out == ""
+    code, out = run(capsys, "frobenius", "--gens", "10000019,10000079,20000003,7")
+    assert code == 0 and "frobenius: 30000170" in out
+
+
+def test_deep_redundancy_and_cstar_searches_answer_from_tables(capsys):
+    # each took seconds to minutes as one unbounded coefficient DFS
+    start = time.perf_counter()
+    code, out = run(capsys, "frobenius", "--gens", "10000,10001,10002,10003,33329999", "--cross-check")
+    assert code == 0 and "methods.oracle: 33329998" in out and "agreement: true" in out
+    code, out = run(capsys, "analyze", "--gens", "4001,2000,2002,2004,2006,332999")
+    assert code == 0 and "apery.frobenius_from_apery: 665999" in out
+    assert time.perf_counter() - start < 10
 
 
 def test_table_csv(capsys):

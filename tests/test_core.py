@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +38,52 @@ def test_minimal_generators_examples():
 
 def test_minimal_generators_order_independent():
     assert minimal_generators((10, 3, 6)).generators == (3, 10)
+
+
+def test_minimalize_takes_the_table_where_the_dfs_gives_up():
+    # 33329999 over <10000, ..., 10003>: the DFS tries about 3333**3
+    # vectors, the table mod 10000 answers at once
+    start = time.perf_counter()
+    entries = (10000, 10001, 10002, 10003, 33329999)
+    assert minimal_generators(entries).generators == entries
+    assert minimal_generators(entries).frobenius() == 33329998
+    assert time.perf_counter() - start < 5
+    # 2 * (2**62 + 1) leaves 64 bits: no table, and one DFS node answers
+    assert core._minimalize((2, 2**62 + 1)) == (2, 2**62 + 1)
+
+
+@st.composite
+def shared_factor_lists(draw):
+    """Lists whose smaller entries share a factor d, so the kept prefix
+    of ``_minimalize`` is not coprime until a larger entry joins it."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    small = draw(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
+    rest = draw(st.lists(st.integers(min_value=2, max_value=200), max_size=3))
+    return [d * s for s in small] + rest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_factor_lists())
+@example([6, 10, 15])
+@example([6, 10, 15, 16, 25, 30])
+def test_minimalize_from_the_table_matches_the_dfs(entries):
+    expected = core._minimalize(entries)
+    is_representable, apery_levels = _kernels.is_representable, _kernels.apery_levels
+    tables = []
+
+    def give_up(x, gens, budget=None):
+        return None if budget is not None else is_representable(x, gens)
+
+    def counted(m, gens):
+        tables.append(m)
+        return apery_levels(m, gens)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "is_representable", give_up)
+        patch.setattr(_kernels, "apery_levels", counted)
+        assert core._minimalize(entries) == expected
+    # one table per kept list that a larger entry was tested against
+    assert len(tables) == len(expected) - (max(entries) in expected)
 
 
 def test_minimal_generators_gcd_error():

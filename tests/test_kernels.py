@@ -6,6 +6,7 @@ input-domain errors."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -71,6 +72,48 @@ def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
         (2**63 + y, gens),
     ):
         assert len({_raised(kernel, *args) for kernel in DFS_KERNELS}) == 1, args
+
+
+def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
+    """The nodes the canonical DFS enters up to its first vector of x over
+    gens, or in all when there is none: one per (position, remainder)
+    tried, a remainder off the prefix gcd counted and left at once."""
+    if x < 0:
+        return 0
+    pg = list(itertools.accumulate(gens, math.gcd))
+    count = 0
+
+    def enter(i: int, rem: int) -> bool:
+        nonlocal count
+        count += 1
+        if rem % pg[i]:
+            return False
+        return i == 0 or any(enter(i - 1, rem - c * gens[i]) for c in range(rem // gens[i] + 1))
+
+    enter(len(gens) - 1, x)
+    return count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=-2, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=50),
+)
+@example(30, [6, 10, 15], 0)  # found at the first leaf
+@example(29, [6, 10, 15], 0)  # no vector
+def test_a_budgeted_walk_answers_within_its_budget_and_gives_up_past_it(x, gens, slack):
+    gens = tuple(gens)
+    assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
+    nodes = _nodes_to_first(x, gens)
+    witness = pykernels.min_representation(x, gens)
+    member = pykernels.is_representable(x, gens)
+    for budget in (nodes, nodes + slack):
+        assert pykernels.min_representation(x, gens, budget) == witness
+        assert pykernels.is_representable(x, gens, budget) is member
+    for budget in {max(nodes - 1 - slack, 0), nodes - 1} if nodes else ():
+        assert pykernels.min_representation(x, gens, budget) is None
+        assert pykernels.is_representable(x, gens, budget) is None
 
 
 # The table filled, and its coset form: the errors of both are one contract.
