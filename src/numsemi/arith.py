@@ -54,27 +54,33 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial requires n, k >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    return checked_int64(math.comb(n, k), f"binomial({n}, {k})")
+    value = math.comb(n, k)
+    return value if value <= INT64_MAX else checked_int64(value, f"binomial({n}, {k})")
 
 
 def triangular(n: int) -> int:
     """The n-th triangular number n(n+1)/2 == C(n+1, 2)."""
     require_positive(n, "n")
-    return checked_int64(n * (n + 1) // 2, f"triangular({n})")
+    value = n * (n + 1) // 2
+    return value if value <= INT64_MAX else checked_int64(value, f"triangular({n})")
 
 
 def tetrahedral(n: int) -> int:
     """The n-th tetrahedral number C(n+2, 3)."""
     require_positive(n, "n")
-    return checked_int64(n * (n + 1) * (n + 2) // 6, f"tetrahedral({n})")
+    value = n * (n + 1) * (n + 2) // 6
+    return value if value <= INT64_MAX else checked_int64(value, f"tetrahedral({n})")
 
 
 def validated_generators(entries: Sequence[int], name: str = "generators") -> tuple[int, ...]:
     """Validate a raw generator sequence: non-empty, each entry a positive
-    64-bit integer.  Order is preserved (it matters for telescopic analysis)."""
+    64-bit integer.  Order is preserved (it matters for telescopic analysis).
+    Only an entry that is not a plain int in range goes through
+    ``require_positive``, which passes an int subclass or raises."""
     seq = tuple(entries)
     if not seq:
         raise ValueError(f"{name} must be non-empty")
     for x in seq:
-        require_positive(x, f"{name} entry")
+        if type(x) is not int or not 0 < x <= INT64_MAX:
+            require_positive(x, f"{name} entry")
     return seq

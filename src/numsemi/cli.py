@@ -735,16 +735,88 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call."""
-    return build_parser()
+    """The one parser of this process, built on the first ``main`` call,
+    with the table ``_read_argv`` reads from as its ``reads``."""
+    parser = build_parser()
+    parser.reads = _read_table(parser)
+    return parser
+
+
+def _read_table(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """Per sub-command, from its own actions: the option strings that
+    store one value or ``True``, the required actions, the exclusive
+    groups, and the namespace of an argv that gives no option: the
+    command, the ``set_defaults`` and the actions' defaults over them."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        options = {
+            option: action
+            for action in sub._actions
+            if type(action) is argparse._StoreTrueAction
+            or (type(action) is argparse._StoreAction and action.nargs is None)
+            for option in action.option_strings
+        }
+        required = [a for a in sub._actions if a.required]
+        groups = [(g.required, g._group_actions) for g in sub._mutually_exclusive_groups]
+        defaults = {a.dest: a.default for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)}
+        start = {commands.dest: name, **sub._defaults, **defaults}
+        table[name] = (options, required, groups, start)
+    return table
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``_parser().parse_args(argv)`` for an argv that is a sub-command and
+    its exact option strings, each given once, each store option with one
+    value not starting with ``-`` that its type and choices accept, with
+    every required option and group present and no group given twice.
+    None for any other argv: argparse reads it, and prints every help,
+    usage and error text."""
+    read = _parser().reads.get(argv[0]) if argv else None
+    if read is None:
+        return None
+    options, required, groups, start = read
+    given: dict[argparse.Action, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given[action] = value
+    if any(a not in given for a in required):
+        return None
+    for group_required, members in groups:
+        count = sum(a in given for a in members)
+        if count > 1 or (group_required and count == 0):
+            return None
+    args = argparse.Namespace(**start)
+    for action, value in given.items():
+        setattr(args, action.dest, value)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
-        return code
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:
         return args.func(args)
     except NotCoprimeError as exc:

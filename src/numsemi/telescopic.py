@@ -454,9 +454,14 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
 def _brauer_shockley(entries: tuple[int, ...], semigroup: NumericalSemigroup | None = None) -> int:
     """``brauer_shockley_frobenius`` of validated coprime ``entries``.  A
     caller that holds ``semigroup``, whose minimal generators ``entries``
-    arranges, passes it: the arrangement is not minimalized again, and the
-    Apery fallback at this level uses its table."""
-    work = entries if semigroup is not None else arranged_minimal(entries, _minimalize(entries))
+    arranges, passes it: the arrangement is not minimalized again.  Each
+    level holds one semigroup, whose generators it arranges and whose
+    table the Apery fallback reads."""
+    if semigroup is None:
+        semigroup = NumericalSemigroup(entries)
+        work = arranged_minimal(entries, semigroup.generators)
+    else:
+        work = entries
     if len(work) == 1:
         # dropping preserves the overall gcd, so the survivor is 1
         if work[0] != 1:
@@ -473,4 +478,4 @@ def _brauer_shockley(entries: tuple[int, ...], semigroup: NumericalSemigroup | N
     if d > 1:
         inner = _brauer_shockley(tuple(x // d for x in work[1:]) + (work[0],))
         return checked_int64(d * inner + (d - 1) * work[0], "Frobenius number")
-    return (semigroup or NumericalSemigroup(work)).frobenius()
+    return semigroup.frobenius()

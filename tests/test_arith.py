@@ -144,3 +144,24 @@ def test_validated_generators():
         validated_generators((2**63,))
     with pytest.raises(TypeError):
         validated_generators((1.5, 2))
+
+
+def test_overflow_and_entry_messages_are_built_only_on_failure_and_unchanged():
+    cases = [
+        (triangular, (2**32,), OverflowError, "triangular(4294967296) exceeds the 64-bit integer range: 9223372039002259456"),
+        (tetrahedral, (2**22,), OverflowError, "tetrahedral(4194304) exceeds the 64-bit integer range: 12297838178567454720"),
+        (binomial, (70, 35), OverflowError, "binomial(70, 35) exceeds the 64-bit integer range: 112186277816662845432"),
+        (validated_generators, ((3, True),), TypeError, "generators entry must be an int, got bool"),
+        (validated_generators, ((3, 0), "gens"), ValueError, "gens entry must be >= 1, got 0"),
+        (validated_generators, ((2**63,),), OverflowError, "generators entry exceeds the 64-bit integer range: 9223372036854775808"),
+    ]
+    for func, args, error, message in cases:
+        with pytest.raises(error) as info:
+            func(*args)
+        assert str(info.value) == message
+    assert triangular(2**32 - 1) == 2**63 - 2**31
+    # an int subclass other than bool passes as before
+    class Count(int):
+        pass
+
+    assert validated_generators((Count(3), 5)) == (3, 5)

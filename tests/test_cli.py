@@ -494,6 +494,16 @@ def test_deep_redundancy_and_cstar_searches_answer_from_tables(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_reduction_minimalizes_each_level_once(capsys, monkeypatch):
+    # the table mod 10000 over the first four: one for the reduction's
+    # semigroup, whose Apery fallback reads it, one for the oracle's own
+    seen = _count_tables(monkeypatch)
+    code, out = run(capsys, "frobenius", "--gens", "10000,10001,10002,10003,33329999", "--cross-check")
+    assert code == 0 and "agreement: true" in out
+    assert seen.count((10000, (10000, 10001, 10002, 10003))) == 2
+    assert seen.count((10000, (10000, 10001, 10002, 10003, 33329999))) == 2
+
+
 def test_table_csv(capsys):
     code, out = run(capsys, "table", "--family", "triangular", "--range", "1..6", "--format", "csv")
     assert code == 0
