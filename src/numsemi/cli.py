@@ -74,8 +74,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
@@ -107,8 +105,6 @@ def _scalar(value: object) -> str:
 
 
 def _record_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
@@ -174,15 +170,13 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
         parts.append(json.dumps(value))
 
 
-def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict] | None = None) -> str:
+def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict]) -> str:
     if fmt == "json":
         parts: list[str] = []
         _json(record, parts)
         parts.append("\n")
         return "".join(parts)
     if fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not supported for this command")
         return _record_to_csv(csv_rows)
     if isinstance(record, list):
         return "".join(_record_to_text(r) for r in record)
@@ -389,7 +383,9 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         "embedding_dimension": figurate.figurate_embedding_dimension(kind, n),
         "direction": direction.value,
     }
-    methods = {"closed-form": closed_frobenius, "reduction": telescopic.brauer_shockley_frobenius(gens)}
+    # the reduction arranges the semigroup's minimal generators as in gens
+    reduction = telescopic._brauer_shockley(telescopic.arranged_minimal(gens, semigroup.generators), semigroup)
+    methods = {"closed-form": closed_frobenius, "reduction": reduction}
     record["frobenius"] = closed_frobenius
     record["provenance"] = "closed-form"
     bound = _betti_bound(args)
@@ -437,12 +433,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # verify
 
 
-def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
-                     semigroup: core.NumericalSemigroup, betti_oracle_max_n: int) -> str | None:
-    """c*, freeness, presentation, Betti and Apery closed forms against the generic engine."""
+def _check_family(kind: str, betti_oracle_max_n: int, n: int) -> str | None:
+    """The closed forms of one figurate member against the generic engine:
+    the Frobenius number (and the triangular cubic form) against the oracle
+    and the gcd reduction, the telescopic directions, then c*, freeness,
+    presentation, Betti and Apery.  One semigroup serves the oracle, the
+    reduction and the c* walk; the Betti oracle runs up to
+    ``betti_oracle_max_n``."""
+    forms = _closed_forms(kind)
+    gens = forms.generators(n)
+    values = {"closed": forms.frobenius(n)}
+    if kind == "triangular":
+        values["cubic"] = figurate.baker_a(n)
+    semigroup = core.NumericalSemigroup(gens)
+    values["oracle"] = semigroup.frobenius()
+    # the reduction reaches two generators by gcd steps, never that oracle
+    values["reduction"] = telescopic._brauer_shockley(
+        telescopic.arranged_minimal(gens, semigroup.generators), semigroup
+    )
+    if len(set(values.values())) > 1:
+        return "frobenius mismatch: " + " ".join(f"{k}={v}" for k, v in values.items())
+    forward = bool(telescopic.is_telescopic(gens))
+    reverse = bool(telescopic.is_telescopic(gens[::-1]))
+    if kind == "triangular":  # both arrangements are telescopic
+        if not forward:
+            return "forward arrangement not telescopic"
+        if not reverse:
+            return "reverse arrangement not telescopic"
+    else:  # only the printed direction is
+        expect_forward = forms.direction(n) is figurate.Direction.FORWARD
+        if forward != expect_forward or reverse == expect_forward:
+            return f"classification mismatch: forward={forward} reverse={reverse} n mod 6 = {n % 6}"
     if figurate.figurate_embedding_dimension(kind, n) != len(gens):
         return None
-    forms = _closed_forms(kind)
     form = forms.cstar(n)
     fd = telescopic.is_free(form.arrangement, _semigroup=semigroup)
     if form.cstars != fd.cstars:
@@ -456,43 +479,11 @@ def _check_structure(kind: str, n: int, gens: tuple[int, ...], closed: int,
     # the closed box of c* against the oracle's genus, with no box built
     if not telescopic._box_is_apery(semigroup, form.arrangement, form.cstars):
         return "Apery mismatch between closed form and oracle"
-    if telescopic.free_frobenius(fd) != closed:
+    if telescopic.free_frobenius(fd) != values["closed"]:
         return "max(Apery) - anchor disagrees with the Frobenius number"
     if n <= betti_oracle_max_n and closed_betti != semigroup.betti_elements():
         return "Betti oracle disagrees with the closed form"
     return None
-
-
-def _check_triangular(n: int) -> str | None:
-    gens = figurate.triangular_generators(n)
-    closed = figurate.frobenius_triangular(n)
-    cubic = figurate.baker_a(n)
-    semigroup = core.NumericalSemigroup(gens)
-    oracle = semigroup.frobenius()
-    reduction = telescopic.brauer_shockley_frobenius(gens)
-    if not closed == cubic == oracle == reduction:
-        return f"frobenius mismatch: closed={closed} cubic={cubic} oracle={oracle} reduction={reduction}"
-    if not telescopic.is_telescopic(gens):
-        return "forward arrangement not telescopic"
-    if not telescopic.is_telescopic(gens[::-1]):
-        return "reverse arrangement not telescopic"
-    return _check_structure("triangular", n, gens, closed, semigroup, betti_oracle_max_n=12)
-
-
-def _check_tetrahedral(n: int) -> str | None:
-    gens = figurate.tetrahedral_generators(n)
-    closed = figurate.frobenius_tetrahedral(n)
-    semigroup = core.NumericalSemigroup(gens)
-    oracle = semigroup.frobenius()
-    reduction = telescopic.brauer_shockley_frobenius(gens)
-    if not closed == oracle == reduction:
-        return f"frobenius mismatch: closed={closed} oracle={oracle} reduction={reduction}"
-    forward = bool(telescopic.is_telescopic(gens))
-    reverse = bool(telescopic.is_telescopic(gens[::-1]))
-    expect_forward = figurate.tetrahedral_direction(n) is figurate.Direction.FORWARD
-    if forward != expect_forward or reverse != (not expect_forward):
-        return f"classification mismatch: forward={forward} reverse={reverse} n mod 6 = {n % 6}"
-    return _check_structure("tetrahedral", n, gens, closed, semigroup, betti_oracle_max_n=8)
 
 
 def _check_choose4(n: int) -> str | None:
@@ -530,8 +521,8 @@ def _check_arith(n: int) -> str | None:
 
 
 _VERIFY_CHECKS: dict[str, Callable[[int], str | None]] = {
-    "triangular": _check_triangular,
-    "tetrahedral": _check_tetrahedral,
+    "triangular": functools.partial(_check_family, "triangular", 12),
+    "tetrahedral": functools.partial(_check_family, "tetrahedral", 8),
     "choose4": _check_choose4,
     "arith": _check_arith,
 }
@@ -602,17 +593,18 @@ def _family_row(kind: str, forms: SimpleNamespace, n: int) -> dict:
 def _choose4_row(n: int) -> dict:
     gens, cls = figurate.choose4_family(n)
     ordered = gens if cls in (figurate.TelescopicClass.FORWARD, figurate.TelescopicClass.BOTH) else gens[::-1]
+    semigroup = core.NumericalSemigroup(gens)
     fd = None
     if cls is not figurate.TelescopicClass.NEITHER:
         # the raw five-term sequence may carry redundant generators
-        semigroup = core.NumericalSemigroup(ordered)
         arrangement = telescopic.arranged_minimal(ordered, semigroup.generators)
         verdict = telescopic.is_free(arrangement, _semigroup=semigroup)
         fd = verdict if verdict else None
+    frobenius = telescopic._brauer_shockley(telescopic.arranged_minimal(gens, semigroup.generators), semigroup)
     return {
         "n": n,
         "generators": list(gens),
-        "frobenius": telescopic.brauer_shockley_frobenius(gens),
+        "frobenius": frobenius,
         "cstar": list(fd.cstars) if fd else "",
         "betti": sorted(telescopic.free_betti(fd)) if fd else "",
         "direction": cls.value,

@@ -6,13 +6,21 @@ shared-support class analysis.  All routines are exact and deterministic
 (sorted generators, one canonical vector enumeration order) so outputs
 are byte-stable across runs.
 
-``NumericalSemigroup`` is the one place that decides how membership is
-answered: from the Apery table of the smallest generator up to the
-desk-scale limit ``APERY_MATERIALIZE_LIMIT``, and by the coefficient DFS
-only above it, where no table may be built.  The table is held in the
-coset form of ``_kernels.apery_cosets``, from which membership, the
-Frobenius number and the genus are read; it is filled out only where
-every cell is needed (``apery``, ``betti_elements``).
+Three places decide how membership is answered, each between the
+coefficient DFS and an Apery table:
+
+- ``NumericalSemigroup.contains`` reads the table of the smallest
+  generator up to the desk-scale limit ``APERY_MATERIALIZE_LIMIT``, and
+  runs the DFS only above it, where no table may be built.  The table is
+  held in the coset form of ``_kernels.apery_cosets``, from which
+  membership, the Frobenius number and the genus are read; it is filled
+  out only where every cell is needed (``apery``, ``betti_elements``).
+- ``_minimalize`` runs the DFS on a budget of the cells of the table of
+  the kept generators, and builds that table when the DFS gives up.
+- ``telescopic.cstar_constants`` asks the DFS for a c* witness on the
+  same kind of budget; ``telescopic._least_multiple`` then asks the
+  prefix semigroup, or the table mod the target when the prefix table is
+  past the limit.
 """
 
 from __future__ import annotations

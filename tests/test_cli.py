@@ -265,15 +265,13 @@ def _count_tables(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
 
 
 @pytest.mark.parametrize(
-    "kind, generators, check, oracle_max_n, ns",
+    "kind, generators, oracle_max_n, ns",
     [
-        ("triangular", figurate.triangular_generators, cli._check_triangular, 12, [*range(3, 61), 339, 340]),
-        ("tetrahedral", figurate.tetrahedral_generators, cli._check_tetrahedral, 8, [*range(4, 41), 79, 80]),
+        ("triangular", figurate.triangular_generators, 12, [*range(3, 61), 339, 340]),
+        ("tetrahedral", figurate.tetrahedral_generators, 8, [*range(4, 41), 79, 80]),
     ],
 )
-def test_family_check_fills_the_n1_table_only_for_the_betti_oracle(
-    monkeypatch, kind, generators, check, oracle_max_n, ns
-):
+def test_family_check_fills_the_n1_table_only_for_the_betti_oracle(monkeypatch, kind, generators, oracle_max_n, ns):
     # above oracle_max_n only the coset form's max, sum and lookups are read
     fills = []
     fill_cosets = _kernels.fill_cosets
@@ -291,29 +289,73 @@ def test_family_check_fills_the_n1_table_only_for_the_betti_oracle(
     for n in ns:
         gens = core.NumericalSemigroup(generators(n)).generators
         del fills[:], seen[:]
-        assert check(n) is None, n
+        assert cli._VERIFY_CHECKS[kind](n) is None, n
         assert (gens[0], gens) in seen, n
         betti_oracle = n <= oracle_max_n and figurate.figurate_embedding_dimension(kind, n) == len(gens)
         assert fills == ([gens[0]] if betti_oracle else []), n
 
 
 @pytest.mark.parametrize(
-    "check, n, max_calls",
+    "kind, n, max_calls",
     [
-        (cli._check_tetrahedral, 9, 4),  # forward: anchor TH_n is the oracle's modulus
+        ("tetrahedral", 9, 4),  # forward: anchor TH_n is the oracle's modulus
         # reverse: the box mod the anchor TH_{n+3} is checked in the table mod TH_n
-        (cli._check_tetrahedral, 10, 4),
-        (cli._check_tetrahedral, 11, 4),
-        (cli._check_triangular, 9, 3),
+        ("tetrahedral", 10, 4),
+        ("tetrahedral", 11, 4),
+        ("triangular", 9, 3),
     ],
 )
-def test_family_check_builds_each_apery_table_once(monkeypatch, check, n, max_calls):
+def test_family_check_builds_each_apery_table_once(monkeypatch, kind, n, max_calls):
     seen = _count_tables(monkeypatch)
-    assert check(n) is None
+    assert cli._VERIFY_CHECKS[kind](n) is None
     assert seen  # the oracle's table of n_1 at least
     assert len(seen) == len(set(seen)), seen
     assert len(seen) <= max_calls, seen
     assert all(m != arith.tetrahedral(n + 3) for m, _ in seen), seen
+
+
+def test_each_input_builds_its_semigroup_once(monkeypatch, capsys):
+    # the oracle, the c* walk and the gcd reduction share the input's semigroup
+    def minimal(kind, n):
+        return core.NumericalSemigroup(getattr(figurate, f"{kind}_generators")(n)).generators
+
+    runs = [
+        (("verify", "--family", kind, "--range", f"{n}..{n}"), [minimal(kind, n)])
+        for kind, ns in (("triangular", (1, 2, 9)), ("tetrahedral", (3, 9, 10)))
+        for n in ns
+    ] + [
+        (("analyze", "--triangular", "9"), [minimal("triangular", 9)]),
+        (("analyze", "--tetrahedral", "10"), [minimal("tetrahedral", 10)]),
+        (("table", "--family", "choose4", "--range", "1..40"), [minimal("choose4", n) for n in range(1, 41)]),
+    ]
+    built = []
+    init = core.NumericalSemigroup.__init__
+
+    def counted_init(self, entries):
+        init(self, entries)
+        built.append(self.generators)
+
+    monkeypatch.setattr(core.NumericalSemigroup, "__init__", counted_init)
+    for argv, inputs in runs:
+        del built[:]
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert [built.count(gens) for gens in inputs] == [1] * len(inputs), (argv, built)
+
+
+@pytest.mark.parametrize("kind, ns", [("triangular", range(1, 341)), ("tetrahedral", range(1, 81))])
+def test_reduction_reaches_two_generators_without_the_oracle(monkeypatch, kind, ns):
+    # on the check's semigroup the reduction stays independent of its oracle
+    forms = cli._closed_forms(kind)
+    semigroups = [core.NumericalSemigroup(forms.generators(n)) for n in ns]
+
+    def refuse(self):
+        raise AssertionError(f"the reduction fell back to the oracle of {self!r}")
+
+    monkeypatch.setattr(core.NumericalSemigroup, "frobenius", refuse)
+    for n, S in zip(ns, semigroups):
+        arrangement = telescopic.arranged_minimal(forms.generators(n), S.generators)
+        assert telescopic._brauer_shockley(arrangement, S) == forms.frobenius(n), n
 
 
 @pytest.mark.parametrize(

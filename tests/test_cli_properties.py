@@ -109,7 +109,7 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
-    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli._format_payload(value, "json", []) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 class Colour(enum.IntEnum):
@@ -132,7 +132,7 @@ def test_json_writer_int_lists(value):
     # a one-tuple's repr ends in ",)", and a bool among ints stays true; a
     # str, None, container or IntEnum after a first plain int fails the repr
     # check, and an int subclass with int's repr passes it
-    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli._format_payload(value, "json", []) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 text_fields = st.recursive(
