@@ -17,7 +17,9 @@ the last generator, then the second-to-last, and so on (the first
 generator's coefficient is forced by divisibility).  One DFS, ``_walk``,
 walks them: ``min_representation`` and ``is_representable`` stop at the
 first vector, the canonical witness, or give up past an optional node
-budget, and ``factorizations_of`` collects them all.
+budget, and ``factorizations_of`` collects them all.  Over the first two
+generators the walk reads the coefficients of the second off one
+congruence, so a witness over (a, b) costs no more than its vectors.
 """
 
 from __future__ import annotations
@@ -184,7 +186,9 @@ def _walk(
     to ``visit`` in canonical order, until ``visit`` returns true.  Returns
     the vector it stopped at (the DFS's own list), or None.  Each node is
     charged as the walk enters it: with a ``budget`` it gives up rather
-    than enter node budget + 1, and returns False."""
+    than enter node budget + 1, and returns False.  The level over the
+    first two generators is one node: its coefficients of gens[1] form one
+    residue class, stepped through in closed form."""
     if not gens:
         raise ValueError("generators must be non-empty")
     if x < 0:
@@ -214,6 +218,17 @@ def _walk(
             coeffs[0] = rem // gens[0]
             return visit(coeffs)
         g = gens[i]
+        if i == 1:
+            # rem - c g is a multiple of gens[0] exactly when c is
+            # (rem / p)(g / p)^-1 mod gens[0] / p, p = pg[1]: one node
+            period = gens[0] // pg[1]
+            for c in range(rem // pg[1] * pow(g // pg[1], -1, period) % period, rem // g + 1, period):
+                coeffs[1] = c
+                coeffs[0] = (rem - c * g) // gens[0]
+                if visit(coeffs):
+                    return True
+            coeffs[1] = 0
+            return False
         for c in range(rem // g + 1):
             coeffs[i] = c
             if rec(i - 1, rem - c * g):

@@ -360,8 +360,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     else:
         record["betti"] = sorted(semigroup.betti_elements(bound))
     if len(gens) >= 2:
-        # the reduction of gens starts by arranging its minimal generators
-        methods["reduction"] = telescopic._brauer_shockley(arrangement, semigroup)
+        methods["reduction"] = telescopic.brauer_shockley_frobenius(gens, _semigroup=semigroup)
     record["frobenius"] = methods["oracle"]
     record["provenance"] = "oracle"
     record["methods"] = dict(sorted(methods.items()))
@@ -383,8 +382,7 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         "embedding_dimension": figurate.figurate_embedding_dimension(kind, n),
         "direction": direction.value,
     }
-    # the reduction arranges the semigroup's minimal generators as in gens
-    reduction = telescopic._brauer_shockley(telescopic.arranged_minimal(gens, semigroup.generators), semigroup)
+    reduction = telescopic.brauer_shockley_frobenius(gens, _semigroup=semigroup)
     methods = {"closed-form": closed_frobenius, "reduction": reduction}
     record["frobenius"] = closed_frobenius
     record["provenance"] = "closed-form"
@@ -448,9 +446,7 @@ def _check_family(kind: str, betti_oracle_max_n: int, n: int) -> str | None:
     semigroup = core.NumericalSemigroup(gens)
     values["oracle"] = semigroup.frobenius()
     # the reduction reaches two generators by gcd steps, never that oracle
-    values["reduction"] = telescopic._brauer_shockley(
-        telescopic.arranged_minimal(gens, semigroup.generators), semigroup
-    )
+    values["reduction"] = telescopic.brauer_shockley_frobenius(gens, _semigroup=semigroup)
     if len(set(values.values())) > 1:
         return "frobenius mismatch: " + " ".join(f"{k}={v}" for k, v in values.items())
     forward = bool(telescopic.is_telescopic(gens))
@@ -600,7 +596,7 @@ def _choose4_row(n: int) -> dict:
         arrangement = telescopic.arranged_minimal(ordered, semigroup.generators)
         verdict = telescopic.is_free(arrangement, _semigroup=semigroup)
         fd = verdict if verdict else None
-    frobenius = telescopic._brauer_shockley(telescopic.arranged_minimal(gens, semigroup.generators), semigroup)
+    frobenius = telescopic.brauer_shockley_frobenius(gens, _semigroup=semigroup)
     return {
         "n": n,
         "generators": list(gens),

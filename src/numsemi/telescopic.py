@@ -430,7 +430,7 @@ def johnson_reduce(a1: int, a2: int, a3: int) -> int:
     return checked_int64(d * inner + (d - 1) * a3, "Frobenius number")
 
 
-def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
+def brauer_shockley_frobenius(seq: Sequence[int], *, _semigroup: NumericalSemigroup | None = None) -> int:
     """Frobenius number via repeated gcd reduction.
 
     One step: with d the gcd of all entries but the last,
@@ -441,6 +441,9 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
     every telescopic arrangement in either direction; if neither direction
     reduces and nothing is droppable, the Apery oracle finishes the job.
     For telescopic inputs the recursion is exact in n-1 steps.
+    ``_semigroup`` is the semigroup of ``seq`` when the caller holds it:
+    its generators are not minimalized again, and its table serves the
+    fallback.
     """
     entries = validated_generators(seq)
     if len(entries) < 2:
@@ -448,20 +451,17 @@ def brauer_shockley_frobenius(seq: Sequence[int]) -> int:
     d = gcd_list(entries)
     if d != 1:
         raise NotCoprimeError(d)
-    return _brauer_shockley(entries)
+    return _brauer_shockley(entries, _semigroup)
 
 
 def _brauer_shockley(entries: tuple[int, ...], semigroup: NumericalSemigroup | None = None) -> int:
-    """``brauer_shockley_frobenius`` of validated coprime ``entries``.  A
-    caller that holds ``semigroup``, whose minimal generators ``entries``
-    arranges, passes it: the arrangement is not minimalized again.  Each
-    level holds one semigroup, whose generators it arranges and whose
-    table the Apery fallback reads."""
+    """``brauer_shockley_frobenius`` of validated coprime ``entries``, whose
+    semigroup is ``semigroup`` or built here.  Each level arranges that
+    semigroup's minimal generators as in ``entries``, and its Apery
+    fallback reads that semigroup's table."""
     if semigroup is None:
         semigroup = NumericalSemigroup(entries)
-        work = arranged_minimal(entries, semigroup.generators)
-    else:
-        work = entries
+    work = arranged_minimal(entries, semigroup.generators)
     if len(work) == 1:
         # dropping preserves the overall gcd, so the survivor is 1
         if work[0] != 1:

@@ -7,7 +7,8 @@ values, factorizations by full cartesian product or built up from those
 of smaller values (the package uses a pruned DFS), Apery tables by heap
 Dijkstra (the pure-Python kernel runs the round-robin algorithm), c*
 constants by lookups in those tables, canonical witnesses by a greedy
-walk over sieve tables (the package runs a backtracking DFS), free Apery
+walk over sieve tables (the package runs a backtracking DFS), the DFS as
+it was before its level over two generators took a closed form, free Apery
 boxes filed element by element with a duplicate check (the package proves
 the residues distinct on one bitset first), the genus by counting sieve
 gaps (the package applies Selmer's formula to its Apery table), text and
@@ -215,6 +216,35 @@ def canonical_witness(value: int, gens: Sequence[int]) -> tuple[int, ...] | None
             coeffs[i] += 1
         rem -= coeffs[i] * gens[i]
     return tuple(coeffs)
+
+
+def dfs_representations(x: int, gens: Sequence[int], first: bool = False) -> list[tuple[int, ...]]:
+    """The representations of ``x`` over ``gens`` in canonical order, or
+    only the first: the coefficient DFS that tries every coefficient of
+    each generator but the first, the kernel's walk before its level over
+    the first two generators took the closed form."""
+    if x < 0:
+        return []
+    pg = list(itertools.accumulate(gens, math.gcd))
+    coeffs = [0] * len(gens)
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, rem: int) -> bool:
+        if rem % pg[i]:
+            return False
+        if i == 0:
+            coeffs[0] = rem // gens[0]
+            out.append(tuple(coeffs))
+            return first
+        for c in range(rem // gens[i] + 1):
+            coeffs[i] = c
+            if rec(i - 1, rem - c * gens[i]):
+                return True
+        coeffs[i] = 0
+        return False
+
+    rec(len(gens) - 1, x)
+    return out
 
 
 def scalar_field(value: object) -> str:

@@ -343,6 +343,38 @@ def test_each_input_builds_its_semigroup_once(monkeypatch, capsys):
         assert [built.count(gens) for gens in inputs] == [1] * len(inputs), (argv, built)
 
 
+def test_each_input_enters_the_reduction_once_with_its_semigroup(monkeypatch, capsys):
+    calls = []
+    reduction = telescopic.brauer_shockley_frobenius
+
+    def counted_reduction(seq, **kwargs):
+        calls.append((tuple(seq), kwargs.get("_semigroup")))
+        return reduction(seq, **kwargs)
+
+    monkeypatch.setattr(telescopic, "brauer_shockley_frobenius", counted_reduction)
+    for argv, inputs in (
+        (("analyze", "--gens", "6,10,15"), [(6, 10, 15)]),
+        (("analyze", "--triangular", "9"), [figurate.triangular_generators(9)]),
+        (("analyze", "--tetrahedral", "10"), [figurate.tetrahedral_generators(10)]),
+        (("verify", "--family", "tetrahedral", "--range", "9..9"), [figurate.tetrahedral_generators(9)]),
+        (("table", "--family", "choose4", "--range", "1..5"), [figurate.choose4_generators(n) for n in range(1, 6)]),
+    ):
+        del calls[:]
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert [seq for seq, _ in calls] == inputs, argv
+        assert all(S is not None and S.generators == core.NumericalSemigroup(seq).generators for seq, S in calls), argv
+    # the cross-checks keep their oracle independent of the reduction
+    for argv, inputs in (
+        (("frobenius", "--gens", "6,10,15", "--cross-check"), [(6, 10, 15)]),
+        (("verify", "--family", "choose4", "--range", "5..5"), [figurate.choose4_generators(5)]),
+    ):
+        del calls[:]
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert calls == [(seq, None) for seq in inputs], argv
+
+
 @pytest.mark.parametrize("kind, ns", [("triangular", range(1, 341)), ("tetrahedral", range(1, 81))])
 def test_reduction_reaches_two_generators_without_the_oracle(monkeypatch, kind, ns):
     # on the check's semigroup the reduction stays independent of its oracle
@@ -534,6 +566,23 @@ def test_deep_redundancy_and_cstar_searches_answer_from_tables(capsys):
     code, out = run(capsys, "analyze", "--gens", "4001,2000,2002,2004,2006,332999")
     assert code == 0 and "apery.frobenius_from_apery: 665999" in out
     assert time.perf_counter() - start < 10
+
+
+def test_cstar_witness_over_multiplicity_three_and_six_answers_at_once():
+    # the witness over (10000000001, 3) tried each coefficient of 3 up to
+    # the least one, about 3e9, and the process ran for minutes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    records = []
+    for gens in ("10000000001,3,10000000003", "20000000002,6,19000000001"):
+        argv = [sys.executable, "-m", "numsemi.cli", "analyze", "--gens", gens, "--format", "json"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, (gens, done.stderr)
+        records.append(json.loads(done.stdout))
+    assert [r["cstar"] for r in records] == [[10000000001, 2]] * 2
+    assert [r["frobenius"] for r in records] == [10000000000, 58999999999]
+    assert [r["free"] for r in records] == [False, True]
+    assert records[1]["presentation"][1]["rhs"] == [1, 3000000000, 0]
 
 
 def test_reduction_minimalizes_each_level_once(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from numsemi.figurate import (
     triangular_generators,
 )
 
-from oracles import dijkstra_apery, naive_apery, naive_genus
+from oracles import dfs_representations, dijkstra_apery, naive_apery, naive_genus
 
 
 def test_backend_constant():
@@ -77,7 +77,9 @@ def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
 def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
     """The nodes the canonical DFS enters up to its first vector of x over
     gens, or in all when there is none: one per (position, remainder)
-    tried, a remainder off the prefix gcd counted and left at once."""
+    tried, a remainder off the prefix gcd counted and left at once.  The
+    level over the first two generators is one node, whatever number of
+    coefficients of gens[1] it weighs."""
     if x < 0:
         return 0
     pg = list(itertools.accumulate(gens, math.gcd))
@@ -88,6 +90,8 @@ def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
         count += 1
         if rem % pg[i]:
             return False
+        if i == 1:
+            return any((rem - c * gens[1]) % gens[0] == 0 for c in range(rem // gens[1] + 1))
         return i == 0 or any(enter(i - 1, rem - c * gens[i]) for c in range(rem // gens[i] + 1))
 
     enter(len(gens) - 1, x)
@@ -114,6 +118,23 @@ def test_a_budgeted_walk_answers_within_its_budget_and_gives_up_past_it(x, gens,
     for budget in {max(nodes - 1 - slack, 0), nodes - 1} if nodes else ():
         assert pykernels.min_representation(x, gens, budget) is None
         assert pykernels.is_representable(x, gens, budget) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=-2, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5),
+)
+@example(30, [6, 10, 15])
+@example(126, [4, 6, 9])  # p = 2 on the closed level
+@example(299, [60, 7])  # (3, 17): 17 is the class 299 / 7 mod 60
+def test_the_closed_two_generator_level_keeps_the_dfs_vectors(x, gens):
+    gens = tuple(gens)
+    assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
+    vectors = dfs_representations(x, gens)
+    assert pykernels.factorizations_of(x, gens) == vectors
+    assert pykernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
+    assert pykernels.is_representable(x, gens) is bool(vectors)
 
 
 # The table filled, and its coset form: the errors of both are one contract.

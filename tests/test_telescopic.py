@@ -138,6 +138,23 @@ def test_cstar_position_two_is_one_lookup():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "entries, witness",
+    [
+        ((10000000001, 3, 10000000003), (1, 3333333335)),  # not free: j = 2 at position 3
+        ((20000000002, 6, 19000000001), (1, 3000000000)),  # free
+    ],
+)
+def test_cstar_witness_over_a_small_second_entry_is_its_least_coefficient(entries, witness):
+    # the coefficient of 3 in the scaled prefix (10000000001, 3) is least
+    # in its class mod 10000000001; trying each one took about 3e9 steps
+    cstars, reps = cstar_constants(entries)
+    assert cstars == (10000000001, 2)
+    assert reps[1] == witness
+    assert evaluate(witness, entries[:2]) == cstars[1] * entries[2]
+    assert witness[1] < 10000000001
+
+
 @st.composite
 def chained_arrangements(draw):
     """Minimal arrangements n_1..n_e (e = 2..5, entries <= 300) whose
