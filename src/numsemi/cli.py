@@ -17,7 +17,7 @@ import functools
 import io
 import json
 import sys
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -291,15 +291,15 @@ def _apery_summary(anchor: int, elements: list[int], full: bool) -> dict:
 
 
 def _box_summary(arrangement: tuple[int, ...], cstars: tuple[int, ...], full: bool) -> dict:
-    """``_apery_summary`` of the c* box ``telescopic.apery_box(arrangement,
+    """``_apery_summary`` of the c* box ``telescopic.box_elements(arrangement,
     cstars)``.  Short of the whole list, only its three smallest elements
-    are swept; the map lam_j -> c*_j - 1 - lam_j takes the box onto
-    top - box, top = sum (c*_j - 1) n_j, so the three largest are top
-    minus those, reversed, and the size is the anchor."""
+    are drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes
+    the box onto top - box, top = sum (c*_j - 1) n_j, so the three largest
+    are top minus those, reversed, and the size is the anchor."""
     anchor = arrangement[0]
     if full or anchor <= 6:
-        return _apery_summary(anchor, telescopic.box_elements(arrangement, cstars), full)
-    smallest = list(islice(chain.from_iterable(telescopic._ascending_runs(arrangement, cstars)), 3))
+        return _apery_summary(anchor, list(telescopic.box_elements(arrangement, cstars)), full)
+    smallest = list(islice(telescopic.box_elements(arrangement, cstars), 3))
     top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
     return {
         "anchor": anchor,
@@ -397,7 +397,7 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         record["apery"] = _box_summary(form.arrangement, form.cstars, args.full)
     else:
         # closed structural forms refuse below full embedding dimension
-        record["note"] = figurate._REDUCED_EDIM_MSG
+        record["note"] = figurate.REDUCED_EDIM_MSG
         record["betti"] = sorted(semigroup.betti_elements(bound))
         record["apery"] = _apery_summary(semigroup.multiplicity, sorted(semigroup.apery()), args.full)
         methods["oracle"] = semigroup.frobenius()
@@ -473,7 +473,7 @@ def _check_family(kind: str, betti_oracle_max_n: int, n: int) -> str | None:
     if closed_betti != telescopic.free_betti(fd):
         return f"Betti mismatch: closed={closed_betti} free={telescopic.free_betti(fd)}"
     # the closed box of c* against the oracle's genus, with no box built
-    if not telescopic._box_is_apery(semigroup, form.arrangement, form.cstars):
+    if not telescopic.box_is_apery(semigroup, form.arrangement, form.cstars):
         return "Apery mismatch between closed form and oracle"
     if telescopic.free_frobenius(fd) != values["closed"]:
         return "max(Apery) - anchor disagrees with the Frobenius number"

@@ -261,14 +261,14 @@ def tetrahedral_direction(n: int) -> Direction:
     return Direction.FORWARD if n % 6 in (0, 1, 2, 3) else Direction.REVERSE
 
 
-_REDUCED_EDIM_MSG = "reduced embedding dimension; use generic machinery"
+REDUCED_EDIM_MSG = "reduced embedding dimension; use generic machinery"
 
 
 def triangular_cstar(n: int) -> CstarForm:
     """Closed-form c* constants for the forward triangular arrangement."""
     require_positive(n, "n")
     if n < 3:
-        raise ValueError(_REDUCED_EDIM_MSG)
+        raise ValueError(REDUCED_EDIM_MSG)
     if n % 2:
         cstars = (n, _exact_div(n + 1, 2, "odd triangular c*"))
     else:
@@ -281,7 +281,7 @@ def tetrahedral_cstar(n: int) -> CstarForm:
     for n mod 6 in {0..3}, reversed for {4, 5})."""
     require_positive(n, "n")
     if n < 4:
-        raise ValueError(_REDUCED_EDIM_MSG)
+        raise ValueError(REDUCED_EDIM_MSG)
     gens = tetrahedral_generators(n)
     div = _exact_div
     r = n % 6
@@ -340,7 +340,7 @@ def triangular_betti(n: int) -> set[int]:
     multiples of tetrahedral numbers)."""
     require_positive(n, "n")
     if n < 3:
-        raise ValueError(_REDUCED_EDIM_MSG)
+        raise ValueError(REDUCED_EDIM_MSG)
     big, small = binomial(n + 3, 3), binomial(n + 2, 3)
     if n % 2:
         values = (_exact_div(3 * big, 2, "Betti"), 3 * small)
@@ -354,7 +354,7 @@ def tetrahedral_betti(n: int) -> set[int]:
     n mod 6 (values are multiples of C(., 4) numbers)."""
     require_positive(n, "n")
     if n < 4:
-        raise ValueError(_REDUCED_EDIM_MSG)
+        raise ValueError(REDUCED_EDIM_MSG)
     b5, b4, b3 = binomial(n + 5, 4), binomial(n + 4, 4), binomial(n + 3, 4)
 
     def four_thirds(x: int) -> int:

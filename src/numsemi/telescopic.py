@@ -271,8 +271,8 @@ def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> boo
     fall in distinct cosets of the multiples of g_{j-1}.  With the last g
     1 that is every residue once (Rosales & García-Sánchez, *Numerical
     Semigroups*, 2009: a free arrangement passes, its c* being the
-    quotients of the gcd chain).  A box the chain does not settle is
-    filed element by element (``_filed_box``)."""
+    quotients of the gcd chain).  ``box_elements`` refuses a box the chain
+    does not settle."""
     g = arrangement[0]
     for c, n in zip(cstars, arrangement[1:]):
         g, prev = math.gcd(g, n), g
@@ -281,116 +281,111 @@ def _residues_distinct(arrangement: Sequence[int], cstars: Sequence[int]) -> boo
     return g == 1
 
 
-def _box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
-    """True when the box of ``apery_box(arrangement, cstars)`` is
-    Ap(semigroup, a), a = n_1, with no box built.  Positive c* with product
-    a over entries in S give a sums in S; with distinct residues each is at
-    least the Apery element of its residue, so the box is Ap(S, a) exactly
-    when the two sums agree.  The box is symmetric about top / 2, top =
-    sum (c*_j - 1) n_j, so its sum is a top / 2; by Selmer's identity that
-    of Ap(S, a) is a g + a (a - 1) / 2, g the genus (Rosales &
-    García-Sánchez 2009, ch. 1).  They agree exactly when top - a = 2 g - 1.
-    A box the divide chain does not prove distinct is rejected; ``verify``
-    asks only with the c* of a free arrangement, the chain's quotients."""
+def _box_top(arrangement: Sequence[int], cstars: Sequence[int]) -> int:
+    """The checks of ``box_elements``, then the box's largest element
+    top = sum (c*_j - 1) n_j."""
     anchor = arrangement[0]
     require_desk_scale(anchor)
-    if min(cstars, default=1) < 1 or math.prod(cstars) != anchor:
-        return False
-    if not all(semigroup.contains(n) for n in arrangement):
-        return False
-    top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
-    return _residues_distinct(arrangement, cstars) and top - anchor == 2 * semigroup.genus() - 1
-
-
-def _box(arrangement: Sequence[int], cstars: Sequence[int]) -> tuple[list[int], int, int]:
-    """``apery_box``'s checks, then its box: each sum over n_2..n_{e-1} (a
-    base) plus lam n_e for 0 <= lam < c*_e, as the bases, n_e and c*_e."""
-    anchor = arrangement[0]
-    require_desk_scale(anchor)
+    if min(arrangement) < 1 or min(cstars, default=1) < 1:
+        raise InvariantViolation(f"a c* box needs positive entries and c*, got {tuple(arrangement)}, {tuple(cstars)}")
     if len(cstars) != len(arrangement) - 1 or math.prod(cstars) != anchor:
         raise InvariantViolation(f"c* {tuple(cstars)} do not multiply to the anchor {anchor}")
-    checked_int64(sum((c - 1) * n for c, n in zip(cstars, arrangement[1:])), "free Apery element")
+    if not _residues_distinct(arrangement, cstars):
+        raise InvariantViolation(
+            f"the divide chain of {tuple(arrangement)} does not prove the c* {tuple(cstars)} box's residues distinct"
+        )
+    return checked_int64(sum((c - 1) * n for c, n in zip(cstars, arrangement[1:])), "free Apery element")
+
+
+def box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], cstars: Sequence[int]) -> bool:
+    """True when the box of ``box_elements(arrangement, cstars)`` is
+    Ap(semigroup, a), a = n_1, with no box built; False where
+    ``box_elements`` raises ``InvariantViolation``.  Positive c* with product a over entries
+    in S give a sums in S; with distinct residues each is at least the
+    Apery element of its residue, so the box is Ap(S, a) exactly when the
+    two sums agree.  The box is symmetric about top / 2, top =
+    sum (c*_j - 1) n_j, so its sum is a top / 2; by Selmer's identity that
+    of Ap(S, a) is a g + a (a - 1) / 2, g the genus (Rosales &
+    García-Sánchez 2009, ch. 1).  They agree exactly when top - a = 2 g - 1."""
+    try:
+        top = _box_top(arrangement, cstars)
+    except InvariantViolation:
+        return False
+    return all(semigroup.contains(n) for n in arrangement) and top - arrangement[0] == 2 * semigroup.genus() - 1
+
+
+def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[int]:
+    """The c* box of the arrangement, the sums over n_2..n_e with the
+    coefficient of n_j below c*_j, in ascending order.  The checks run
+    here, not at the first element: the anchor n_1 within the desk-scale
+    limit, one c* per position i >= 2, every entry and c* at least 1, the
+    c* product n_1, the divide chain's proof that the n_1 residues are
+    distinct (``_residues_distinct``) and the largest element in 64 bits.
+    A box the chain does not prove raises ``InvariantViolation``.
+
+    No free arrangement is refused: a prefix's monoid lies in d_{i-1} N,
+    so q_i = d_{i-1} / d_i divides c*_i, and the q_i multiply to n_1, so a
+    coprime free arrangement with positive c* has c*_i = q_i, which is the
+    chain's proof.  That covers ``free_apery``, the figurate
+    ``*_apery`` functions and every command-line box.
+
+    The box is swept level by level.  Write a sum over n_2..n_{e-1} (a
+    base) as q n_e + r: its run base + lam n_e (lam < c*_e) holds the
+    element level n_e + r at each level q..q + c*_e - 1.  The elements are
+    distinct, so the offsets r active at one level are too, and the
+    level's run is level n_e plus the active offsets, kept sorted.  A
+    level with no active offset is skipped, so the sweep's steps are
+    bounded by the elements, not by the levels."""
+    _box_top(arrangement, cstars)
+    n, c = (arrangement[-1], cstars[-1]) if cstars else (1, 1)
     bases = [0]
-    for c, n in zip(cstars[:-1], arrangement[1:-1]):
-        bases = [base + lam * n for base in bases for lam in range(c)]
-    return (bases, arrangement[-1], cstars[-1]) if cstars else (bases, 1, 1)
-
-
-def _filed_box(anchor: int, bases: list[int], n: int, c: int) -> AperySet:
-    """The box of ``_box`` filed by residue in box order: raises at the
-    first repeated residue, then builds the checked ``AperySet``."""
-    by_residue: list[int | None] = [None] * anchor
-    for base in bases:
-        for lam in range(c):
-            element = base + lam * n
-            r = element % anchor
-            if by_residue[r] is not None:
-                raise InvariantViolation(f"duplicate Apery residue {r}: broken free decomposition")
-            by_residue[r] = element
-    return AperySet(anchor, tuple(by_residue))
-
-
-def _ascending_runs(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[Iterable[int]]:
-    """The elements of ``apery_box(arrangement, cstars)`` in ascending
-    order, as runs to be read in turn, each before the next is drawn.
-
-    A box with positive entries whose residues the chain proves distinct
-    is swept level by level.  Write a base of ``_box`` as q n_e + r: its run
-    base + lam n_e (lam < c*_e) holds the element level n_e + r at each
-    level q..q + c*_e - 1.  The elements are distinct, so the offsets r active at
-    one level are too, and the level's run is level n_e plus the active
-    offsets, kept sorted.  A level with no active offset is skipped, so the
-    sweep's steps are bounded by the elements, not by the levels.  Any
-    other box is filed as ``apery_box`` files it, then sorted."""
-    bases, n, c = _box(arrangement, cstars)
-    if not (min(arrangement) >= 1 and min(cstars, default=1) >= 1 and _residues_distinct(arrangement, cstars)):
-        yield sorted(_filed_box(arrangement[0], bases, n, c).by_residue)
-        return
+    for c_j, n_j in zip(cstars[:-1], arrangement[1:-1]):
+        bases = [base + lam * n_j for base in bases for lam in range(c_j)]
     bases.sort()
     # (first level, n_e - offset), in order of entry and of exit.  A run is
     # read as (level + 1) n_e minus these, reversed: a difference of
     # positive ints takes the larger's size, a sum one digit more, which
     # past 2**30 is a 48-byte int, not a 32-byte one.
     runs = [(base // n, n - base % n) for base in bases]
-    active: list[int] = []
-    entered = left = 0
-    level = runs[0][0]
-    while left < len(runs):
-        while left < entered and runs[left][0] + c == level:
-            del active[bisect_left(active, runs[left][1])]
-            left += 1
-        while entered < len(runs) and runs[entered][0] == level:
-            insort(active, runs[entered][1])
-            entered += 1
-        if not active:
+
+    def levels() -> Iterator[Iterable[int]]:
+        active: list[int] = []
+        entered = left = 0
+        level = runs[0][0]
+        while left < len(runs):
+            while left < entered and runs[left][0] + c == level:
+                del active[bisect_left(active, runs[left][1])]
+                left += 1
+            while entered < len(runs) and runs[entered][0] == level:
+                insort(active, runs[entered][1])
+                entered += 1
+            if not active:
+                if entered < len(runs):
+                    level = runs[entered][0]
+                continue
+            stop = runs[left][0] + c
             if entered < len(runs):
-                level = runs[entered][0]
-            continue
-        stop = runs[left][0] + c
-        if entered < len(runs):
-            stop = min(stop, runs[entered][0])
-        for level in range(level, stop):
-            yield map(sub, repeat((level + 1) * n), reversed(active))
-        level = stop
+                stop = min(stop, runs[entered][0])
+            for level in range(level, stop):
+                yield map(sub, repeat((level + 1) * n), reversed(active))
+            level = stop
 
-
-def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> list[int]:
-    """The elements of ``apery_box(arrangement, cstars)`` in ascending
-    order, swept level by level (``_ascending_runs``); a box the divide
-    chain does not settle, or with a non-positive entry, is filed as
-    ``apery_box`` files it, then sorted."""
-    return list(chain.from_iterable(_ascending_runs(arrangement, cstars)))
+    return chain.from_iterable(levels())
 
 
 def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:
-    """Apery set of n_1 over a free arrangement: the box of all sums over
-    n_2..n_e with the coefficient of n_j below c*_j (Rosales &
-    García-Sánchez, *Numerical Semigroups*, 2009).  The c* must multiply
-    to n_1, and the n_1 sums must land in distinct residues mod n_1.
+    """Apery set of n_1 over a free arrangement: the elements of
+    ``box_elements(arrangement, cstars)`` filed by residue mod n_1 into the
+    checked ``AperySet`` (Rosales & García-Sánchez, *Numerical
+    Semigroups*, 2009).
 
     Here n_1 is the arrangement's first entry, the anchor, which need not
     be the multiplicity: for reversed tetrahedral n it is TH_{n+3}."""
-    return _filed_box(arrangement[0], *_box(arrangement, cstars))
+    anchor = arrangement[0]
+    by_residue = [0] * anchor
+    for element in box_elements(arrangement, cstars):
+        by_residue[element % anchor] = element
+    return AperySet(anchor, tuple(by_residue))
 
 
 def free_apery(fd: FreeDecomposition) -> AperySet:

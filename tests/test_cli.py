@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -676,3 +677,26 @@ def test_module_entry_point_exit_codes():
         assert done.returncode == code, (args, done.stderr)
         if code == 0:
             assert "frobenius: 29" in done.stdout.splitlines()
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the CLI goes through each layer's public entries only
+    layers = {"core", "telescopic", "figurate", "arith"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in layers
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in {f"numsemi.{layer}" for layer in layers}
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

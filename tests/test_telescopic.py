@@ -27,11 +27,11 @@ from numsemi.telescopic import (
     FreeDecomposition,
     NotFree,
     NotTelescopic,
-    _box_is_apery,
     _residues_distinct,
     apery_box,
     arranged_minimal,
     box_elements,
+    box_is_apery,
     brauer_shockley_frobenius,
     cstar_constants,
     divide_chain,
@@ -352,27 +352,26 @@ def test_apery_box_refuses_cstars_whose_product_is_not_the_anchor():
 
 
 def test_apery_box_refuses_duplicate_residues():
-    with pytest.raises(InvariantViolation, match="duplicate Apery residue"):
+    # 0, 2, 4, 6 repeat residues 0 and 2 mod 4: the chain asks c* 2, not 4
+    with pytest.raises(InvariantViolation, match="divide chain of \\(4, 2\\) does not prove"):
         apery_box((4, 2), (4,))
 
 
 def test_apery_box_falls_back_to_the_checked_constructor():
-    # distinct residues, but a negative generator: AperySet names the element
-    with pytest.raises(InvariantViolation, match="Apery element -5 is negative"):
-        apery_box((6, -5, 10), (2, 3))
-    # negative c* multiply to the anchor but leave the box empty
-    with pytest.raises(InvariantViolation, match="Apery element for residue 0 must be 0"):
-        apery_box((6, 10, 15), (-2, -3))
-    # a zero entry with c* 1 leaves the box of the free <6, 10, 15>: filed, in residue order
-    assert apery_box((6, 0, 10, 15), (1, 3, 2)).by_residue == (0, 25, 20, 15, 10, 35)
-    assert box_elements((6, 0, 10, 15), (1, 3, 2)) == [0, 10, 15, 20, 25, 35]
-    # with c* 2 on the zero entry, 0 is in the box twice
-    for build in (apery_box, box_elements):
-        with pytest.raises(InvariantViolation, match="^duplicate Apery residue 0: broken free decomposition$"):
-            build((6, 0, 10, 15), (2, 3, 1))
-        # a negative element filed first is a repeat all the same: -1 and 5 share residue 5
-        with pytest.raises(InvariantViolation, match="^duplicate Apery residue 5: broken free decomposition$"):
-            build((6, 5, -1, 1), (2, 3, 1))
+    # every entry and c* must be positive before any element is filed:
+    # a negative generator, negative c* that multiply to the anchor, and a
+    # zero entry (whose c* 1 would leave the box of the free <6, 10, 15>)
+    positive = "^a c\\* box needs positive entries and c\\*"
+    for arrangement, cstars in [
+        ((6, -5, 10), (2, 3)),
+        ((6, 10, 15), (-2, -3)),
+        ((6, 0, 10, 15), (1, 3, 2)),
+        ((6, 0, 10, 15), (2, 3, 1)),
+        ((6, 5, -1, 1), (2, 3, 1)),
+    ]:
+        for build in (apery_box, box_elements):
+            with pytest.raises(InvariantViolation, match=positive):
+                build(arrangement, cstars)
 
 
 def test_apery_box_refuses_anchors_above_the_materialize_limit():
@@ -380,7 +379,7 @@ def test_apery_box_refuses_anchors_above_the_materialize_limit():
     with pytest.raises(ValueError, match="desk-scale"):
         apery_box((anchor, 2), (anchor,))
     with pytest.raises(ValueError, match="desk-scale"):
-        _box_is_apery(NumericalSemigroup((2, 3)), (anchor, 2), (anchor,))
+        box_is_apery(NumericalSemigroup((2, 3)), (anchor, 2), (anchor,))
 
 
 def test_free_apery_overflow():
@@ -397,34 +396,43 @@ def _box(arrangement, cstars):
     return [sum(lam * n for lam, n in zip(lams, arrangement[1:])) for lams in coefficients]
 
 
-def test_box_elements_match_the_apery_set_on_random_free_arrangements():
-    rng = random.Random(20171)
-    checked = 0
-    while checked < 80:
-        gens = rng.sample(range(2, 90), rng.randint(2, 4))
-        if math.gcd(*gens) != 1:
-            continue
-        S = NumericalSemigroup(gens)
-        arrangement = list(S.generators)
-        rng.shuffle(arrangement)
-        fd = is_free(arrangement)
-        if not fd:
-            continue
-        checked += 1
-        anchor = fd.arrangement[0]
-        elements = box_elements(fd.arrangement, fd.cstars)
-        assert elements == sorted(_box(fd.arrangement, fd.cstars))
-        assert sorted(elements) == sorted(apery_box(fd.arrangement, fd.cstars).by_residue)
-        assert sorted(elements) == sorted(S.apery(anchor).by_residue)
-        assert apery_box(fd.arrangement, fd.cstars).by_residue == tuple(filed_box(fd.arrangement, fd.cstars))
-        assert _residues_distinct(fd.arrangement, fd.cstars)
-        assert _box_is_apery(S, fd.arrangement, fd.cstars)
+coprime_lists = st.lists(st.integers(min_value=2, max_value=89), min_size=2, max_size=4, unique=True).filter(
+    lambda gens: math.gcd(*gens) == 1
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coprime_lists, st.randoms(use_true_random=False))
+def test_box_elements_match_the_apery_set_on_random_free_arrangements(gens, rng):
+    # every free arrangement's box is proved by the divide chain: no free
+    # box needs filing element by element
+    S = NumericalSemigroup(gens)
+    arrangement = list(S.generators)
+    rng.shuffle(arrangement)
+    fd = is_free(arrangement)
+    assume(fd)
+    anchor = fd.arrangement[0]
+    assert _residues_distinct(fd.arrangement, fd.cstars)
+    elements = list(box_elements(fd.arrangement, fd.cstars))
+    assert elements == sorted(_box(fd.arrangement, fd.cstars)) == sorted(S.apery(anchor))
+    assert apery_box(fd.arrangement, fd.cstars) == S.apery(anchor)
+    assert apery_box(fd.arrangement, fd.cstars).by_residue == tuple(filed_box(fd.arrangement, fd.cstars))
+    assert box_is_apery(S, fd.arrangement, fd.cstars)
+
+
+def test_box_elements_checks_at_the_call_and_sweeps_lazily():
+    elements = box_elements((6, 10, 15), (3, 2))
+    assert iter(elements) is elements
+    assert next(elements) == 0
+    assert list(elements) == [10, 15, 20, 25, 35]
+    with pytest.raises(InvariantViolation, match="multiply"):
+        box_elements((6, 10, 15), (3,))  # not drawn from
 
 
 def test_box_elements_skip_the_empty_levels():
     # runs of n_e = 1 at levels 0 and 2,000,000,002: the sweep jumps the gap
     start = time.perf_counter()
-    assert box_elements((4, 2_000_000_002, 1), (2, 2)) == [0, 1, 2000000002, 2000000003]
+    assert list(box_elements((4, 2_000_000_002, 1), (2, 2))) == [0, 1, 2000000002, 2000000003]
     assert time.perf_counter() - start < 0.5
 
 
@@ -432,7 +440,7 @@ def test_box_elements_with_a_last_cstar_of_one():
     # every run of n_e = 5 is one level long, and offsets 0 and 2 enter twice
     arrangement, cstars = (6, 2, 3, 5), (3, 2, 1)
     assert _residues_distinct(arrangement, cstars)
-    assert box_elements(arrangement, cstars) == sorted(_box(arrangement, cstars)) == [0, 2, 3, 4, 5, 7]
+    assert list(box_elements(arrangement, cstars)) == sorted(_box(arrangement, cstars)) == [0, 2, 3, 4, 5, 7]
 
 
 @pytest.mark.parametrize("kind", ["triangular", "tetrahedral"])
@@ -455,7 +463,7 @@ def test_box_is_apery_accepts_the_reverse_tetrahedral_boxes():
         gens = tetrahedral_generators(n)
         form = tetrahedral_cstar(n)
         assert form.arrangement[0] == gens[-1]
-        assert _box_is_apery(NumericalSemigroup(gens), form.arrangement, form.cstars)
+        assert box_is_apery(NumericalSemigroup(gens), form.arrangement, form.cstars)
 
 
 def test_free_boxes_pass_the_divide_chain_residue_proof():
@@ -475,33 +483,36 @@ def test_free_boxes_pass_the_divide_chain_residue_proof():
 
 
 def test_residue_proof_stays_exact_where_the_chain_does_not_settle():
-    # gcd(4, 1) = 1 asks c*_1 = 4: the chain fails, yet the sums 0..3 are
-    # distinct, and the filing says so
+    # gcd(4, 1) = 1 asks c*_1 = 4: the chain fails, and although the sums
+    # 0..3 are distinct the box is refused, as no free arrangement's is
     assert not _residues_distinct((4, 1, 2), (2, 2))
-    assert apery_box((4, 1, 2), (2, 2)).by_residue == (0, 1, 2, 3)
-    assert box_elements((4, 1, 2), (2, 2)) == [0, 1, 2, 3]
+    assert sorted(_box((4, 1, 2), (2, 2))) == [0, 1, 2, 3]
+    for build in (apery_box, box_elements):
+        with pytest.raises(InvariantViolation, match="does not prove"):
+            build((4, 1, 2), (2, 2))
+    assert not box_is_apery(NumericalSemigroup((1,)), (4, 1, 2), (2, 2))
 
 
 def test_box_is_apery_rejects_what_is_no_apery_set():
     S = NumericalSemigroup(triangular_generators(6))  # <21, 28, 36>, c* (3, 7)
-    assert _box_is_apery(S, (21, 28, 36), (3, 7))
+    assert box_is_apery(S, (21, 28, 36), (3, 7))
     # n_2 moved to n_2 + a: the box lies in S and its residues stay distinct
     assert None not in filed_box((21, 49, 36), (3, 7))
-    assert not _box_is_apery(S, (21, 49, 36), (3, 7))
+    assert not box_is_apery(S, (21, 49, 36), (3, 7))
     # c* reversed: the residues collide
-    assert not _box_is_apery(S, (21, 28, 36), (7, 3))
+    assert not box_is_apery(S, (21, 28, 36), (7, 3))
     # 6 = 2 * 3 is in the box twice although top - a = 15 - 8 = 2 g - 1
     assert not _residues_distinct((8, 3, 6), (4, 2))
-    assert not _box_is_apery(NumericalSemigroup((3, 5)), (8, 3, 6), (4, 2))
+    assert not box_is_apery(NumericalSemigroup((3, 5)), (8, 3, 6), (4, 2))
     # 4 is a gap of <3, 5, 7>, which has the genus 3 of <3, 4>
-    assert _box_is_apery(NumericalSemigroup((3, 4)), (3, 4), (3,))
-    assert not _box_is_apery(NumericalSemigroup((3, 5, 7)), (3, 4), (3,))
+    assert box_is_apery(NumericalSemigroup((3, 4)), (3, 4), (3,))
+    assert not box_is_apery(NumericalSemigroup((3, 5, 7)), (3, 4), (3,))
     # c* (3, 2) multiply to 6, not 5: the six sums cover every residue mod 5
     # and top - a = 12 - 5 = 2 g - 1
     assert {w % 5 for w in _box((5, 3, 6), (3, 2))} == set(range(5))
-    assert not _box_is_apery(NumericalSemigroup((3, 5)), (5, 3, 6), (3, 2))
+    assert not box_is_apery(NumericalSemigroup((3, 5)), (5, 3, 6), (3, 2))
     # c* (-1, -1) multiply to 1 but leave the box empty
-    assert not _box_is_apery(NumericalSemigroup((2, 3)), (2, 2, 2, 11), (-1, -1, 2))
+    assert not box_is_apery(NumericalSemigroup((2, 3)), (2, 2, 2, 11), (-1, -1, 2))
 
 
 @st.composite
@@ -520,22 +531,15 @@ def product_boxes(draw):
 @example(((6, 10, 15), (3, 2)))  # distinct: the free arrangement
 def test_box_checks_match_the_per_element_filing(box):
     arrangement, cstars = box
-    anchor = arrangement[0]
-    distinct = len({w % anchor for w in _box(arrangement, cstars)}) == anchor
     if _residues_distinct(arrangement, cstars):  # the chain is a proof
-        assert distinct
-    try:
         by_residue = filed_box(arrangement, cstars)
-    except ValueError as exc:
-        assert not distinct
-        for build in (apery_box, box_elements):
-            with pytest.raises(InvariantViolation) as raised:
-                build(arrangement, cstars)
-            assert str(raised.value) == str(exc)
-    else:
-        assert distinct
+        assert None not in by_residue
         assert apery_box(arrangement, cstars).by_residue == tuple(by_residue)
-        assert sorted(box_elements(arrangement, cstars)) == sorted(by_residue)
+        assert list(box_elements(arrangement, cstars)) == sorted(by_residue)
+    else:  # refused at the call, with nothing drawn
+        for build in (apery_box, box_elements):
+            with pytest.raises(InvariantViolation, match="does not prove"):
+                build(arrangement, cstars)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -544,8 +548,8 @@ def test_box_checks_match_the_per_element_filing(box):
 @example(((6, 9, 2), (2, 3)))  # runs at levels 0..2 and 4..6: level 3 is empty
 def test_box_elements_sweep_distinct_boxes_in_ascending_order(box):
     arrangement, cstars = box
-    assume(len({w % arrangement[0] for w in _box(arrangement, cstars)}) == arrangement[0])
-    assert box_elements(arrangement, cstars) == sorted(_box(arrangement, cstars))
+    assume(_residues_distinct(arrangement, cstars))
+    assert list(box_elements(arrangement, cstars)) == sorted(_box(arrangement, cstars))
 
 
 def test_free_presentation_examples():
