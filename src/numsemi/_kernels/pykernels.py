@@ -17,9 +17,11 @@ the last generator, then the second-to-last, and so on (the first
 generator's coefficient is forced by divisibility).  One DFS, ``_walk``,
 walks them: ``min_representation`` and ``is_representable`` stop at the
 first vector, the canonical witness, or give up past an optional node
-budget, and ``factorizations_of`` collects them all.  Over the first two
-generators the walk reads the coefficients of the second off one
-congruence, so a witness over (a, b) costs no more than its vectors.
+budget, and ``factorizations_of`` collects them all.  At each level the
+walk reads its generator's coefficients off one congruence: only one
+residue class leaves a remainder that the generators below can divide.
+So a level over generators with a large gcd costs no more than its
+vectors; one over coprime generators still tries each coefficient.
 """
 
 from __future__ import annotations
@@ -184,11 +186,12 @@ def _walk(
 ) -> list[int] | None | bool:
     """The coefficient DFS: hand each representation of ``x`` over ``gens``
     to ``visit`` in canonical order, until ``visit`` returns true.  Returns
-    the vector it stopped at (the DFS's own list), or None.  Each node is
-    charged as the walk enters it: with a ``budget`` it gives up rather
-    than enter node budget + 1, and returns False.  The level over the
-    first two generators is one node: its coefficients of gens[1] form one
-    residue class, stepped through in closed form."""
+    the vector it stopped at (the DFS's own list), or None.  Each call is
+    one node, level 0 included, charged as the walk enters it: with a
+    ``budget`` it gives up rather than enter node budget + 1, and returns
+    False.  A level enters only the coefficients of its generator that
+    leave a multiple of the gcd of the generators below: one residue
+    class, stepped through least first."""
     if not gens:
         raise ValueError("generators must be non-empty")
     if x < 0:
@@ -212,24 +215,17 @@ def _walk(
         left -= 1
         if left < 0:
             return True  # give up: unwind as from a stop
-        if rem % pg[i]:
+        if rem % pg[i]:  # only at the root: each level hands down multiples
             return False
         if i == 0:
             coeffs[0] = rem // gens[0]
             return visit(coeffs)
-        g = gens[i]
-        if i == 1:
-            # rem - c g is a multiple of gens[0] exactly when c is
-            # (rem / p)(g / p)^-1 mod gens[0] / p, p = pg[1]: one node
-            period = gens[0] // pg[1]
-            for c in range(rem // pg[1] * pow(g // pg[1], -1, period) % period, rem // g + 1, period):
-                coeffs[1] = c
-                coeffs[0] = (rem - c * g) // gens[0]
-                if visit(coeffs):
-                    return True
-            coeffs[1] = 0
-            return False
-        for c in range(rem // g + 1):
+        # rem - c g is a multiple of pg[i - 1], which the levels below can
+        # divide, exactly when c is (rem / p)(g / p)^-1 mod pg[i - 1] / p,
+        # p = pg[i]: one coefficient class per level
+        g, p = gens[i], pg[i]
+        period = pg[i - 1] // p
+        for c in range(rem // p * pow(g // p, -1, period) % period, rem // g + 1, period):
             coeffs[i] = c
             if rec(i - 1, rem - c * g):
                 return True

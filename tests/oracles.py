@@ -220,9 +220,9 @@ def canonical_witness(value: int, gens: Sequence[int]) -> tuple[int, ...] | None
 
 def dfs_representations(x: int, gens: Sequence[int], first: bool = False) -> list[tuple[int, ...]]:
     """The representations of ``x`` over ``gens`` in canonical order, or
-    only the first: the coefficient DFS that tries every coefficient of
-    each generator but the first, the kernel's walk before its level over
-    the first two generators took the closed form."""
+    only the first: the unpruned coefficient DFS, which tries every
+    coefficient of each generator but the first, where the kernel's walk
+    steps through the one class that the levels below can divide."""
     if x < 0:
         return []
     pg = list(itertools.accumulate(gens, math.gcd))

@@ -586,6 +586,26 @@ def test_cstar_witness_over_multiplicity_three_and_six_answers_at_once():
     assert records[1]["presentation"][1]["rhs"] == [1, 3000000000, 0]
 
 
+def test_a_lower_prefix_with_a_large_gcd_answers_at_once():
+    # is_telescopic tried each coefficient of 5 over (20000000002,
+    # 30000000003), whose gcd is 10000000001, and the process ran for minutes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    records = []
+    for gens in ("20000000002,30000000003,5,10000000006,10", "20000000002,30000000003,5,5000000000"):
+        argv = [sys.executable, "-m", "numsemi.cli", "analyze", "--gens", gens, "--format", "json"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, (gens, done.stderr)
+        records.append(json.loads(done.stdout))
+    assert [r["arrangement"] for r in records] == [[20000000002, 30000000003, 5, 10000000006], [20000000002, 30000000003, 5]]
+    assert [r["telescopic_as_given"] for r in records] == [False, True]
+    assert [r["free"] for r in records] == [False, True]
+    assert [r["cstar"] for r in records] == [[2, 10000000001, 2], [2, 10000000001]]
+    D = 10**10 + 1
+    assert [r["frobenius"] for r in records] == [4 * D - 5, 6 * D - 5] == [39999999999, 60000000001]
+    assert [r["agreement"] for r in records] == [True, True]
+
+
 def test_reduction_minimalizes_each_level_once(capsys, monkeypatch):
     # the table mod 10000 over the first four: one for the reduction's
     # semigroup, whose Apery fallback reads it, one for the oracle's own

@@ -10,6 +10,7 @@ import itertools
 import math
 import operator
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -76,10 +77,10 @@ def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
 
 def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
     """The nodes the canonical DFS enters up to its first vector of x over
-    gens, or in all when there is none: one per (position, remainder)
-    tried, a remainder off the prefix gcd counted and left at once.  The
-    level over the first two generators is one node, whatever number of
-    coefficients of gens[1] it weighs."""
+    gens, or in all when there is none: one per call, level 0 included.  A
+    root remainder off the gcd of gens is counted and left at once; below
+    it, a level enters only the coefficients that leave a multiple of the
+    prefix gcd of the levels below, found here by filtering them all."""
     if x < 0:
         return 0
     pg = list(itertools.accumulate(gens, math.gcd))
@@ -90,9 +91,8 @@ def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
         count += 1
         if rem % pg[i]:
             return False
-        if i == 1:
-            return any((rem - c * gens[1]) % gens[0] == 0 for c in range(rem // gens[1] + 1))
-        return i == 0 or any(enter(i - 1, rem - c * gens[i]) for c in range(rem // gens[i] + 1))
+        rests = (rem - c * gens[i] for c in range(rem // gens[i] + 1))
+        return i == 0 or any(enter(i - 1, r) for r in rests if r % pg[i - 1] == 0)
 
     enter(len(gens) - 1, x)
     return count
@@ -106,6 +106,7 @@ def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
 )
 @example(30, [6, 10, 15], 0)  # found at the first leaf
 @example(29, [6, 10, 15], 0)  # no vector
+@example(126, [4, 6, 9], 0)  # period 2 at levels 1 and 2
 def test_a_budgeted_walk_answers_within_its_budget_and_gives_up_past_it(x, gens, slack):
     gens = tuple(gens)
     assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
@@ -120,21 +121,48 @@ def test_a_budgeted_walk_answers_within_its_budget_and_gives_up_past_it(x, gens,
         assert pykernels.is_representable(x, gens, budget) is None
 
 
+@st.composite
+def scaled_lower_prefix(draw):
+    """x and a list whose first k >= 2 entries share a factor D, so that
+    level k, and at times those above it, step through a class of period
+    > 1 as well as level 1."""
+    gens = draw(st.lists(st.integers(1, 60), min_size=3, max_size=5))
+    k = draw(st.integers(2, len(gens)))
+    D = draw(st.integers(2, 30))
+    return draw(st.integers(-2, 2000)), [D * g for g in gens[:k]] + gens[k:]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.integers(min_value=-2, max_value=300),
-    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5),
+    st.one_of(
+        st.tuples(st.integers(min_value=-2, max_value=300), st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5)),
+        scaled_lower_prefix(),
+    )
 )
-@example(30, [6, 10, 15])
-@example(126, [4, 6, 9])  # p = 2 on the closed level
-@example(299, [60, 7])  # (3, 17): 17 is the class 299 / 7 mod 60
-def test_the_closed_two_generator_level_keeps_the_dfs_vectors(x, gens):
+@example((30, [6, 10, 15]))
+@example((126, [4, 6, 9]))  # period 2 at levels 1 and 2
+@example((299, [60, 7]))  # (3, 17): 17 is the class 299 / 7 mod 60
+@example((500, [12, 18, 20, 7]))  # periods 2, 3 and 2 at levels 1, 2 and 3
+def test_each_level_steps_through_one_coefficient_class_and_keeps_the_dfs_vectors(case):
+    x, gens = case
     gens = tuple(gens)
     assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
     vectors = dfs_representations(x, gens)
     assert pykernels.factorizations_of(x, gens) == vectors
     assert pykernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
     assert pykernels.is_representable(x, gens) is bool(vectors)
+
+
+def test_a_lower_prefix_with_a_large_gcd_is_one_class_per_level():
+    # the levels over (2D, 3D) and 5 tried each coefficient of 5 up to
+    # about 2e9 and ran for minutes
+    D = 10**10 + 1
+    start = time.perf_counter()
+    assert pykernels.min_representation(5 * 10**9, (2 * D, 3 * D, 5)) == (0, 0, 10**9)
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    assert pykernels.is_representable(10**10 + 6, (2 * D, 3 * D, 5)) is False
+    assert time.perf_counter() - start < 5
 
 
 # The table filled, and its coset form: the errors of both are one contract.
