@@ -21,7 +21,8 @@ budget, and ``factorizations_of`` collects them all.  At each level the
 walk reads its generator's coefficients off one congruence: only one
 residue class leaves a remainder that the generators below can divide.
 So a level over generators with a large gcd costs no more than its
-vectors; one over coprime generators still tries each coefficient.
+vectors.  A level stops once one cycle of class steps, at most the least
+generator below it, has found no vector: past that, no step can.
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ def _walk(
     ``budget`` it gives up rather than enter node budget + 1, and returns
     False.  A level enters only the coefficients of its generator that
     leave a multiple of the gcd of the generators below: one residue
-    class, stepped through least first."""
+    class, stepped through least first, and stops once lcm(period, q) /
+    period steps in a row have found no vector, q = m / gcd(m, g) for its
+    generator g and m the least generator below."""
     if not gens:
         raise ValueError("generators must be non-empty")
     if x < 0:
@@ -209,9 +212,10 @@ def _walk(
         pg.append(acc)
     coeffs = [0] * len(gens)
     left = math.inf if budget is None else budget  # nodes the walk may still enter
+    found = 0  # vectors handed to visit
 
     def rec(i: int, rem: int) -> bool | None:
-        nonlocal left
+        nonlocal left, found
         left -= 1
         if left < 0:
             return True  # give up: unwind as from a stop
@@ -219,16 +223,33 @@ def _walk(
             return False
         if i == 0:
             coeffs[0] = rem // gens[0]
+            found += 1
             return visit(coeffs)
         # rem - c g is a multiple of pg[i - 1], which the levels below can
         # divide, exactly when c is (rem / p)(g / p)^-1 mod pg[i - 1] / p,
         # p = pg[i]: one coefficient class per level
         g, p = gens[i], pg[i]
         period = pg[i - 1] // p
+        seen, misses, cycle = found, 0, 0
         for c in range(rem // p * pow(g // p, -1, period) % period, rem // g + 1, period):
             coeffs[i] = c
             if rec(i - 1, rem - c * g):
                 return True
+            if found > seen:
+                seen, misses = found, 0
+                continue
+            misses += 1
+            if not cycle:
+                # c and c + t, t = lcm(period, q), q = m / gcd(m, g) with m
+                # the least generator below, leave remainders that differ
+                # by a positive multiple of m: one outside the monoid of
+                # the generators below stays outside less any multiple of
+                # m, so after t / period failed steps in a row all fail
+                m = min(gens[:i])
+                q = m // math.gcd(m, g)
+                cycle = q // math.gcd(q, period)
+            if misses == cycle:
+                break
         coeffs[i] = 0
         return False
 

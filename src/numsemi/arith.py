@@ -23,7 +23,11 @@ def checked_int64(value: int, context: str = "result") -> int:
 
 
 def require_positive(value: int, name: str = "value") -> int:
-    """Validate a positive 64-bit integer argument."""
+    """Validate a positive 64-bit integer argument.  A plain int in range
+    returns at once; anything else (an int subclass, a bool, another type,
+    a value out of range) takes the checks that raise or pass it."""
+    if type(value) is int and 0 < value <= INT64_MAX:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 1:

@@ -80,17 +80,24 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 
 def _record_to_text(record: dict) -> str:
-    lines: list[str] = []
+    """One ``key: value`` line per field, a nested dict's keys prefixed
+    with its own key and a dot."""
+    return "".join(_text_lines(record, "")) or "\n"
 
-    def walk(prefix: str, mapping: dict) -> None:
-        for key, sub in mapping.items():
-            if isinstance(sub, dict):
-                walk(f"{prefix}{key}.", sub)
-            else:
-                lines.append(f"{prefix}{key}: {_scalar(sub)}")
 
-    walk("", record)
-    return "\n".join(lines) + "\n"
+def _text_lines(mapping: dict, prefix: str) -> list[str]:
+    lines = []
+    for key, sub in mapping.items():
+        kind = type(sub)
+        if kind is int or kind is str:
+            lines.append(f"{prefix}{key}: {sub}\n")
+        elif kind is list:
+            lines.append(f"{prefix}{key}: {_int_list_repr(sub) or _scalar(sub)}\n")
+        elif isinstance(sub, dict):
+            lines += _text_lines(sub, f"{prefix}{key}.")
+        else:
+            lines.append(f"{prefix}{key}: {_scalar(sub)}\n")
+    return lines
 
 
 def _scalar(value: object) -> str:
@@ -105,11 +112,24 @@ def _scalar(value: object) -> str:
 
 
 def _record_to_csv(rows: list[dict]) -> str:
+    """A header of the first row's keys, then each row's values in that
+    order; a row with other keys, or the same keys in another order, is
+    refused.  A list, tuple or bool is written as ``_scalar`` writes it,
+    any other value as ``csv.writer`` does (None as an empty field)."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = list(rows[0])
+    writer.writerow(header)
     for row in rows:
-        writer.writerow({k: _scalar(v) if isinstance(v, (list, tuple, bool)) else v for k, v in row.items()})
+        if list(row) != header:
+            raise ValueError(f"CSV row keys {list(row)} differ from the header {header}")
+        # a plain-int list is written without the call to _scalar
+        writer.writerow(
+            [
+                (_int_list_repr(v) or _scalar(v)) if type(v) is list else _scalar(v) if isinstance(v, (tuple, bool)) else v
+                for v in row.values()
+            ]
+        )
     return buf.getvalue()
 
 
@@ -136,21 +156,28 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
     once, so no nesting level copies its children's text.  With ``indent``
     set, ``json.dumps`` runs its pure-Python encoder, one generator step per
     list element; here a list that passes ``_int_list_repr``, such as a full
-    Apery set, is one ``repr`` with its separators replaced."""
-    if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    Apery set, is one ``repr`` with its separators replaced.  A dict writes
+    its int, str and bool values and such lists itself, not by a call each."""
+    if isinstance(value, dict):
         inner = pad + "  "
         lead = "{\n" + inner
+        # the brackets of a list value, and the separator of its items
+        start, sep, end = "[\n  " + inner, ",\n  " + inner, "\n" + inner + "]"
         for key in sorted(value):
-            parts += (lead, encode_basestring_ascii(key), ": ")
-            _json(value[key], parts, inner)
+            item = value[key]
+            kind = type(item)
+            head = lead + encode_basestring_ascii(key) + ": "
+            if kind is int:
+                parts.append(head + int.__repr__(item))
+            elif kind is str:
+                parts.append(head + encode_basestring_ascii(item))
+            elif kind is bool:
+                parts.append(head + ("true" if item else "false"))
+            elif kind is list and (text := _int_list_repr(item)):
+                parts += (head, start, text[1:-1].replace(", ", sep), end)
+            else:
+                parts.append(head)
+                _json(item, parts, inner)
             lead = ",\n" + inner
         parts.append("\n" + pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
@@ -166,6 +193,14 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
                 _json(item, parts, inner)
                 lead = sep
         parts.append("\n" + pad + "]" if value else "[]")
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
     else:
         parts.append(json.dumps(value))
 

@@ -19,7 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from numsemi.arith import binomial, checked_int64, require_positive, tetrahedral, triangular
+from numsemi.arith import INT64_MAX, binomial, checked_int64, require_positive, tetrahedral, triangular
 from numsemi.core import AperySet
 from numsemi.errors import InvariantViolation
 from numsemi.telescopic import (
@@ -90,15 +90,30 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 def triangular_generators(n: int) -> tuple[int, int, int]:
-    """Three consecutive triangular numbers starting at index n."""
+    """Three consecutive triangular numbers starting at index n.  n is
+    checked once; past 64 bits the per-value forms raise their error."""
     require_positive(n, "n")
-    return (triangular(n), triangular(n + 1), triangular(n + 2))
+    t0 = n * (n + 1) // 2
+    t1 = t0 + n + 1
+    t2 = t1 + n + 2
+    if t2 > INT64_MAX:
+        return (triangular(n), triangular(n + 1), triangular(n + 2))
+    return (t0, t1, t2)
 
 
 def tetrahedral_generators(n: int) -> tuple[int, int, int, int]:
-    """Four consecutive tetrahedral numbers starting at index n."""
+    """Four consecutive tetrahedral numbers starting at index n.  n is
+    checked once; past 64 bits the per-value forms raise their error."""
     require_positive(n, "n")
-    return (tetrahedral(n), tetrahedral(n + 1), tetrahedral(n + 2), tetrahedral(n + 3))
+    pair = (n + 1) * (n + 2)
+    t0 = n * pair // 6
+    # TH_{k+1} - TH_k = T_{k+1} = (k + 1)(k + 2) / 2
+    t1 = t0 + pair // 2
+    t2 = t1 + (n + 2) * (n + 3) // 2
+    t3 = t2 + (n + 3) * (n + 4) // 2
+    if t3 > INT64_MAX:
+        return (tetrahedral(n), tetrahedral(n + 1), tetrahedral(n + 2), tetrahedral(n + 3))
+    return (t0, t1, t2, t3)
 
 
 def choose4_generators(n: int) -> tuple[int, ...]:
@@ -356,23 +371,20 @@ def tetrahedral_betti(n: int) -> set[int]:
     if n < 4:
         raise ValueError(REDUCED_EDIM_MSG)
     b5, b4, b3 = binomial(n + 5, 4), binomial(n + 4, 4), binomial(n + 3, 4)
-
-    def four_thirds(x: int) -> int:
-        return _exact_div(4 * x, 3, "Betti")
-
     r = n % 6
+    # one of the three is 4/3 of its C(., 4)
     if r == 0:
-        values = (2 * b5, 4 * b4, four_thirds(b3))
+        values = (2 * b5, 4 * b4, _exact_div(4 * b3, 3, "Betti"))
     elif r == 1:
-        values = (four_thirds(b5), 2 * b4, 4 * b3)
+        values = (_exact_div(4 * b5, 3, "Betti"), 2 * b4, 4 * b3)
     elif r == 2:
-        values = (2 * b5, four_thirds(b4), 4 * b3)
+        values = (2 * b5, _exact_div(4 * b4, 3, "Betti"), 4 * b3)
     elif r == 3:
-        values = (4 * b5, 2 * b4, four_thirds(b3))
+        values = (4 * b5, 2 * b4, _exact_div(4 * b3, 3, "Betti"))
     elif r == 4:
-        values = (four_thirds(b5), 2 * b4, 4 * b3)
+        values = (_exact_div(4 * b5, 3, "Betti"), 2 * b4, 4 * b3)
     else:
-        values = (4 * b5, four_thirds(b4), 2 * b3)
+        values = (4 * b5, _exact_div(4 * b4, 3, "Betti"), 2 * b3)
     return {checked_int64(v, "Betti element") for v in values}
 
 

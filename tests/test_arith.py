@@ -15,6 +15,7 @@ from numsemi.arith import (
     checked_int64,
     gcd,
     gcd_list,
+    require_positive,
     tetrahedral,
     triangular,
     validated_generators,
@@ -165,3 +166,28 @@ def test_overflow_and_entry_messages_are_built_only_on_failure_and_unchanged():
         pass
 
     assert validated_generators((Count(3), 5)) == (3, 5)
+
+
+def test_require_positive_returns_a_plain_int_at_once_and_keeps_every_refusal():
+    for value in (1, 5, INT64_MAX):
+        assert require_positive(value, "n") is value
+    cases = [
+        (True, TypeError, "n must be an int, got bool"),
+        (2.5, TypeError, "n must be an int, got float"),
+        (0, ValueError, "n must be >= 1, got 0"),
+        (-1, ValueError, "n must be >= 1, got -1"),
+        (2**63, OverflowError, "n exceeds the 64-bit integer range: 9223372036854775808"),
+    ]
+    for value, error, message in cases:
+        with pytest.raises(error) as info:
+            require_positive(value, "n")
+        assert str(info.value) == message
+
+    # an int subclass is not a plain int: the checks pass it as it is
+    class Count(int):
+        pass
+
+    count = Count(3)
+    assert require_positive(count, "n") is count
+    with pytest.raises(ValueError):
+        require_positive(Count(0), "n")

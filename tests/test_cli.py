@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -606,6 +608,26 @@ def test_a_lower_prefix_with_a_large_gcd_answers_at_once():
     assert [r["agreement"] for r in records] == [True, True]
 
 
+def test_a_redundant_entry_over_a_coprime_pair_answers_at_once():
+    # is_telescopic on the list as given stepped the coefficient of 2000
+    # over the coprime (1000, 10**15 + 1), about 5e11 steps that all fail;
+    # the same list without the 2000 is its own arrangement and never did
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    records = []
+    for gens in ("1000,1000000000000001,2000,1000000000000003", "1000,1000000000000001,1000000000000003"):
+        argv = [sys.executable, "-m", "numsemi.cli", "analyze", "--gens", gens, "--format", "json"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, (gens, done.stderr)
+        records.append(json.loads(done.stdout))
+    assert records[0]["input"]["generators"] == [1000, 10**15 + 1, 2000, 10**15 + 3]
+    assert records[0]["telescopic_as_given"] is False
+    assert records[0]["frobenius"] == 333999999999999998
+    for record in records:
+        del record["input"]
+    assert records[0] == records[1]
+
+
 def test_reduction_minimalizes_each_level_once(capsys, monkeypatch):
     # the table mod 10000 over the first four: one for the reduction's
     # semigroup, whose Apery fallback reads it, one for the oracle's own
@@ -629,6 +651,55 @@ def test_table_is_byte_stable(capsys):
     _, second = run(capsys, "table", "--family", "tetrahedral", "--range", "4..9", "--format", "csv")
     assert first == second
     assert any(line.startswith("5,") and ",853," in line for line in first.splitlines())
+
+
+def _parse_field(text: str) -> object:
+    """A text or CSV field of a family table: a list, an int or a word."""
+    if text.startswith("["):
+        return json.loads(text)
+    if text.lstrip("-").isdigit():
+        return int(text)
+    return text
+
+
+TABLE_FIELDS = ("n", "generators", "frobenius", "cstar", "betti", "direction")
+
+
+@pytest.mark.parametrize("family, span", [("triangular", "1..2000"), ("tetrahedral", "1..1000")])
+def test_table_formats_parse_back_to_the_same_rows(capsys, family, span):
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        code, outs[fmt] = run(capsys, "table", "--family", family, "--range", span, "--format", fmt)
+        assert code == 0
+    from_json = [tuple(row[k] for k in TABLE_FIELDS) for row in json.loads(outs["json"])["rows"]]
+    reader = csv.reader(io.StringIO(outs["csv"]))
+    assert next(reader) == list(TABLE_FIELDS)
+    from_csv = [tuple(map(_parse_field, fields)) for fields in reader]
+    from_text = []
+    for line in outs["text"].splitlines():
+        key, _, value = line.partition(": ")
+        if key == "n":
+            from_text.append([])
+        from_text[-1].append((key, _parse_field(value)))
+    assert all([key for key, _ in row] == list(TABLE_FIELDS) for row in from_text)
+    from_text = [tuple(value for _, value in row) for row in from_text]
+    lo, hi = map(int, span.split(".."))
+    assert [row[0] for row in from_json] == list(range(lo, hi + 1))
+    assert from_text == from_csv == from_json
+    # below full embedding dimension the structural fields are empty
+    assert from_json[0][3:5] == ("", "")
+
+
+def test_csv_refuses_a_row_whose_keys_differ_from_the_header():
+    assert cli._record_to_csv([{"a": 1, "b": [2, 3]}, {"a": None, "b": True}]) == 'a,b\n1,"[2, 3]"\n,true\n'
+    for rows in (
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # the same keys in another order
+        [{"a": 1, "b": 2}, {"a": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    ):
+        with pytest.raises(ValueError, match="differ from the header"):
+            cli._record_to_csv(rows)
 
 
 def test_table_arith(capsys):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from numsemi.arith import INT64_MAX, tetrahedral, triangular
 from numsemi.core import AperySet, NumericalSemigroup, evaluate, frobenius_oracle
 from numsemi.figurate import (
     CHOOSE5_BASE,
@@ -348,6 +349,43 @@ def test_embedding_dimension_matches_generic():
             figurate_embedding_dimension("tetrahedral", n)
             == NumericalSemigroup(tetrahedral_generators(n)).embedding_dimension
         )
+
+
+def _per_value(form, count: int, n: int) -> tuple[int, ...]:
+    """The generators as the per-value forms give them, one call each, n
+    itself first."""
+    return (form(n), *(form(n + j) for j in range(1, count)))
+
+
+def test_generator_forms_equal_the_per_value_forms():
+    for n in range(1, 5001):
+        assert triangular_generators(n) == _per_value(triangular, 3, n)
+        assert tetrahedral_generators(n) == _per_value(tetrahedral, 4, n)
+
+
+@pytest.mark.parametrize(
+    "family, form, count, edge",
+    [
+        # edge: the last index whose value fits in 64 bits
+        (triangular_generators, triangular, 3, 2**32 - 1),
+        (tetrahedral_generators, tetrahedral, 4, 3810777),
+    ],
+)
+def test_generator_forms_raise_the_per_value_error_past_64_bits(family, form, count, edge):
+    assert form(edge) <= INT64_MAX
+    with pytest.raises(OverflowError):
+        form(edge + 1)
+    assert family(edge - count + 1) == _per_value(form, count, edge - count + 1)
+    # the first value fits and a later one does not, then none fits, then
+    # n itself is out of range, or not a positive int
+    for n in (*range(edge - count + 2, edge + 2), INT64_MAX, 2**63, 0, -1, True, 2.5):
+        with pytest.raises((TypeError, ValueError, OverflowError)) as expected:
+            _per_value(form, count, n)
+        with pytest.raises(expected.type) as got:
+            family(n)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(OverflowError, match=r"^triangular\(4294967296\) exceeds the 64-bit integer range"):
+        triangular_generators(2**32 - 2)
 
 
 def test_closed_form_overflow():

@@ -80,7 +80,10 @@ def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
     gens, or in all when there is none: one per call, level 0 included.  A
     root remainder off the gcd of gens is counted and left at once; below
     it, a level enters only the coefficients that leave a multiple of the
-    prefix gcd of the levels below, found here by filtering them all."""
+    prefix gcd of the levels below, found here by filtering them all, and
+    of those only the ones below the first plus t = lcm(period, m / gcd(m,
+    g)), m the least generator below: each of them fails until the first
+    vector, and past them none can succeed."""
     if x < 0:
         return 0
     pg = list(itertools.accumulate(gens, math.gcd))
@@ -91,8 +94,12 @@ def _nodes_to_first(x: int, gens: tuple[int, ...]) -> int:
         count += 1
         if rem % pg[i]:
             return False
-        rests = (rem - c * gens[i] for c in range(rem // gens[i] + 1))
-        return i == 0 or any(enter(i - 1, r) for r in rests if r % pg[i - 1] == 0)
+        if i == 0:
+            return True
+        g, m = gens[i], min(gens[:i])
+        coefficients = [c for c in range(rem // g + 1) if (rem - c * g) % pg[i - 1] == 0]
+        t = math.lcm(pg[i - 1] // pg[i], m // math.gcd(m, g))
+        return any(enter(i - 1, rem - c * g) for c in coefficients if c < coefficients[0] + t)
 
     enter(len(gens) - 1, x)
     return count
@@ -132,17 +139,31 @@ def scaled_lower_prefix(draw):
     return draw(st.integers(-2, 2000)), [D * g for g in gens[:k]] + gens[k:]
 
 
+@st.composite
+def coprime_lower_prefix(draw):
+    """x and a list whose first k >= 2 entries are coprime and whose later
+    entries are small, so that those levels step every coefficient (period
+    1) and stop after a run of failed steps no longer than the least entry
+    below them."""
+    lower = draw(st.lists(st.integers(2, 60), min_size=2, max_size=3).filter(lambda xs: math.gcd(*xs) == 1))
+    upper = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    return draw(st.integers(-2, 600)), lower + upper
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.one_of(
         st.tuples(st.integers(min_value=-2, max_value=300), st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5)),
         scaled_lower_prefix(),
+        coprime_lower_prefix(),
     )
 )
 @example((30, [6, 10, 15]))
 @example((126, [4, 6, 9]))  # period 2 at levels 1 and 2
 @example((299, [60, 7]))  # (3, 17): 17 is the class 299 / 7 mod 60
 @example((500, [12, 18, 20, 7]))  # periods 2, 3 and 2 at levels 1, 2 and 3
+@example((119, [10, 21, 20]))  # 20 over the coprime (10, 21): one failed step ends the level
+@example((400, [35, 12, 8, 5]))  # failed runs end after 3 steps of 8 and 8 steps of 5
 def test_each_level_steps_through_one_coefficient_class_and_keeps_the_dfs_vectors(case):
     x, gens = case
     gens = tuple(gens)
@@ -151,6 +172,17 @@ def test_each_level_steps_through_one_coefficient_class_and_keeps_the_dfs_vector
     assert pykernels.factorizations_of(x, gens) == vectors
     assert pykernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
     assert pykernels.is_representable(x, gens) is bool(vectors)
+
+
+def test_a_level_over_a_coprime_prefix_stops_after_one_failed_cycle():
+    # the coefficient of 2000 over (1000, 10**15 + 1) ran through about
+    # 5e11 steps that all fail; 2000 is 2 * 1000, so one failed step ends it
+    B = 10**15 + 1
+    start = time.perf_counter()
+    assert pykernels.is_representable(B + 6, (1000, B, 2000)) is False
+    assert pykernels.factorizations_of(B + 6, (1000, B, 2000)) == []
+    assert pykernels.min_representation(3 * B + 4000, (1000, B, 2000)) == (4, 3, 0)
+    assert time.perf_counter() - start < 5
 
 
 def test_a_lower_prefix_with_a_large_gcd_is_one_class_per_level():
