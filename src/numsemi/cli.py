@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import heapq
 import io
 import json
 import sys
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import sub
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from numsemi import core, figurate, telescopic
 from numsemi.arith import checked_int64
@@ -87,16 +89,18 @@ def _record_to_text(record: dict) -> str:
 
 def _text_lines(mapping: dict, prefix: str) -> list[str]:
     lines = []
-    for key, sub in mapping.items():
-        kind = type(sub)
+    for key, value in mapping.items():
+        kind = type(value)
         if kind is int or kind is str:
-            lines.append(f"{prefix}{key}: {sub}\n")
+            lines.append(f"{prefix}{key}: {value}\n")
         elif kind is list:
-            lines.append(f"{prefix}{key}: {_int_list_repr(sub) or _scalar(sub)}\n")
-        elif isinstance(sub, dict):
-            lines += _text_lines(sub, f"{prefix}{key}.")
+            lines.append(f"{prefix}{key}: {_int_list_repr(value) or _scalar(value)}\n")
+        elif kind is _BoxLevels:
+            lines.append(f"{prefix}{key}: [{value.write(b', ')}]\n")
+        elif isinstance(value, dict):
+            lines += _text_lines(value, f"{prefix}{key}.")
         else:
-            lines.append(f"{prefix}{key}: {_scalar(sub)}\n")
+            lines.append(f"{prefix}{key}: {_scalar(value)}\n")
     return lines
 
 
@@ -133,6 +137,27 @@ def _record_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+class _BoxLevels:
+    """The elements of a full c* box as a record holds them: the levels of
+    ``telescopic.box_levels``, which made the box's checks when it was
+    called.  The JSON and text writers each write it once."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: Iterator[tuple[int, tuple[int, ...]]]) -> None:
+        self.levels = levels
+
+    def write(self, sep: bytes) -> str:
+        """The elements in decimal, joined by ``sep``: one %-format per
+        level into one buffer, decoded once.  The ints come from the sweep,
+        so no item needs the check of ``_int_list_repr``."""
+        buf = bytearray()
+        for top, offsets in self.levels:
+            buf += (b"%d" + sep) * len(offsets) % tuple(map(sub, repeat(top), offsets))
+        del buf[-len(sep) :]
+        return buf.decode("ascii")
+
+
 _INT_LIST_CHARS = b"0123456789-, "  # a plain-int list's repr between its brackets
 
 
@@ -156,8 +181,10 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
     once, so no nesting level copies its children's text.  With ``indent``
     set, ``json.dumps`` runs its pure-Python encoder, one generator step per
     list element; here a list that passes ``_int_list_repr``, such as a full
-    Apery set, is one ``repr`` with its separators replaced.  A dict writes
-    its int, str and bool values and such lists itself, not by a call each."""
+    generic Apery set, is one ``repr`` with its separators replaced, and a
+    full c* box is written by its levels (``_BoxLevels``).  A dict writes
+    its int, str and bool values, such lists and boxes itself, not by a
+    call each."""
     if isinstance(value, dict):
         inner = pad + "  "
         lead = "{\n" + inner
@@ -175,6 +202,8 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
                 parts.append(head + ("true" if item else "false"))
             elif kind is list and (text := _int_list_repr(item)):
                 parts += (head, start, text[1:-1].replace(", ", sep), end)
+            elif kind is _BoxLevels:
+                parts += (head, start, item.write(sep.encode()), end)
             else:
                 parts.append(head)
                 _json(item, parts, inner)
@@ -306,44 +335,50 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _apery_summary(anchor: int, elements: list[int], full: bool) -> dict:
-    """The ``apery`` record of Ap(S, anchor), given its elements sorted:
-    all of them with ``full`` or when there are at most 6, else the three
-    smallest and the three largest.  ``_box_summary`` writes the same
-    record for a c* box without listing it."""
+def _apery_summary(anchor: int, elements: core.AperySet | list[int], full: bool) -> dict:
+    """The ``apery`` record of Ap(S, anchor), given its elements in any
+    order: all of them, sorted, with ``full`` or when there are at most 6,
+    else the three smallest and the three largest, read without sorting
+    the rest.  ``_box_summary`` writes the same record for a c* box
+    without listing it."""
+    whole = full or len(elements) <= 6
+    listed = sorted(elements) if whole else None
+    largest = listed or heapq.nlargest(3, elements)[::-1]
     summary: dict = {
         "anchor": anchor,
         "size": len(elements),
-        "max": elements[-1],
-        "frobenius_from_apery": elements[-1] - anchor,
+        "max": largest[-1],
+        "frobenius_from_apery": largest[-1] - anchor,
     }
-    if full or len(elements) <= 6:
-        summary["elements"] = elements
+    if whole:
+        summary["elements"] = listed
     else:
-        summary["smallest"] = elements[:3]
-        summary["largest"] = elements[-3:]
+        summary["smallest"] = heapq.nsmallest(3, elements)
+        summary["largest"] = largest
     return summary
 
 
 def _box_summary(arrangement: tuple[int, ...], cstars: tuple[int, ...], full: bool) -> dict:
-    """``_apery_summary`` of the c* box ``telescopic.box_elements(arrangement,
-    cstars)``.  Short of the whole list, only its three smallest elements
-    are drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes
-    the box onto top - box, top = sum (c*_j - 1) n_j, so the three largest
-    are top minus those, reversed, and the size is the anchor."""
+    """``_apery_summary`` of the c* box ``telescopic.box_levels(arrangement,
+    cstars)``, which makes the box's checks here, before any output.  The
+    size is the anchor and the maximum is top = sum (c*_j - 1) n_j.  With
+    ``full`` the elements are the box's levels, written whole by the JSON
+    and text writers.  Short of that, only the three smallest elements are
+    drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes the
+    box onto top - box, so the three largest are top minus those,
+    reversed."""
     anchor = arrangement[0]
-    if full or anchor <= 6:
-        return _apery_summary(anchor, list(telescopic.box_elements(arrangement, cstars)), full)
-    smallest = list(islice(telescopic.box_elements(arrangement, cstars), 3))
+    if anchor <= 6 and not full:
+        return _apery_summary(anchor, list(telescopic.box_elements(arrangement, cstars)), False)
     top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
-    return {
-        "anchor": anchor,
-        "size": anchor,
-        "max": top,
-        "frobenius_from_apery": top - anchor,
-        "smallest": smallest,
-        "largest": [top - w for w in reversed(smallest)],
-    }
+    summary: dict = {"anchor": anchor, "size": anchor, "max": top, "frobenius_from_apery": top - anchor}
+    if full:
+        summary["elements"] = _BoxLevels(telescopic.box_levels(arrangement, cstars))
+    else:
+        smallest = list(islice(telescopic.box_elements(arrangement, cstars), 3))
+        summary["smallest"] = smallest
+        summary["largest"] = [top - w for w in reversed(smallest)]
+    return summary
 
 
 def _betti_bound(args: argparse.Namespace) -> int | None:
@@ -400,7 +435,7 @@ def _analyze_generic(gens: tuple[int, ...], args: argparse.Namespace) -> dict:
     record["provenance"] = "oracle"
     record["methods"] = dict(sorted(methods.items()))
     record["agreement"] = len(set(methods.values())) == 1
-    record["apery"] = _apery_summary(semigroup.multiplicity, sorted(semigroup.apery()), args.full)
+    record["apery"] = _apery_summary(semigroup.multiplicity, semigroup.apery(), args.full)
     return record
 
 
@@ -434,7 +469,7 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
         # closed structural forms refuse below full embedding dimension
         record["note"] = figurate.REDUCED_EDIM_MSG
         record["betti"] = sorted(semigroup.betti_elements(bound))
-        record["apery"] = _apery_summary(semigroup.multiplicity, sorted(semigroup.apery()), args.full)
+        record["apery"] = _apery_summary(semigroup.multiplicity, semigroup.apery(), args.full)
         methods["oracle"] = semigroup.frobenius()
     record["methods"] = dict(sorted(methods.items()))
     record["agreement"] = len(set(methods.values())) == 1

@@ -13,7 +13,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
@@ -314,14 +314,17 @@ def box_is_apery(semigroup: NumericalSemigroup, arrangement: Sequence[int], csta
     return all(semigroup.contains(n) for n in arrangement) and top - arrangement[0] == 2 * semigroup.genus() - 1
 
 
-def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[int]:
+def box_levels(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The c* box of the arrangement, the sums over n_2..n_e with the
-    coefficient of n_j below c*_j, in ascending order.  The checks run
-    here, not at the first element: the anchor n_1 within the desk-scale
-    limit, one c* per position i >= 2, every entry and c* at least 1, the
-    c* product n_1, the divide chain's proof that the n_1 residues are
-    distinct (``_residues_distinct``) and the largest element in 64 bits.
-    A box the chain does not prove raises ``InvariantViolation``.
+    coefficient of n_j below c*_j, swept level by level: one pair
+    (top, offsets) per level that holds an element, in ascending order of
+    level, whose elements, ascending, are top - o for o in ``offsets``.
+    The checks run here, not at the first level: the anchor n_1 within
+    the desk-scale limit, one c* per position i >= 2, every entry and c*
+    at least 1, the c* product n_1, the divide chain's proof that the n_1
+    residues are distinct (``_residues_distinct``) and the largest
+    element in 64 bits.  A box the chain does not prove raises
+    ``InvariantViolation``.
 
     No free arrangement is refused: a prefix's monoid lies in d_{i-1} N,
     so q_i = d_{i-1} / d_i divides c*_i, and the q_i multiply to n_1, so a
@@ -329,13 +332,14 @@ def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[
     chain's proof.  That covers ``free_apery``, the figurate
     ``*_apery`` functions and every command-line box.
 
-    The box is swept level by level.  Write a sum over n_2..n_{e-1} (a
-    base) as q n_e + r: its run base + lam n_e (lam < c*_e) holds the
-    element level n_e + r at each level q..q + c*_e - 1.  The elements are
-    distinct, so the offsets r active at one level are too, and the
-    level's run is level n_e plus the active offsets, kept sorted.  A
-    level with no active offset is skipped, so the sweep's steps are
-    bounded by the elements, not by the levels."""
+    Write a sum over n_2..n_{e-1} (a base) as q n_e + r: its run
+    base + lam n_e (lam < c*_e) holds the element level n_e + r at each
+    level q..q + c*_e - 1.  The elements are distinct, so the residues r
+    active at one level are too, and the level's run is level n_e plus
+    the active residues, kept sorted: top = (level + 1) n_e less the
+    offsets n_e - r.  A level with no active residue is skipped, so the
+    sweep's steps are bounded by the elements, not by the levels.  Levels
+    between two entries or exits of a run share one offsets tuple."""
     _box_top(arrangement, cstars)
     n, c = (arrangement[-1], cstars[-1]) if cstars else (1, 1)
     bases = [0]
@@ -348,7 +352,7 @@ def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[
     # past 2**30 is a 48-byte int, not a 32-byte one.
     runs = [(base // n, n - base % n) for base in bases]
 
-    def levels() -> Iterator[Iterable[int]]:
+    def levels() -> Iterator[tuple[int, tuple[int, ...]]]:
         active: list[int] = []
         entered = left = 0
         level = runs[0][0]
@@ -366,11 +370,19 @@ def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[
             stop = runs[left][0] + c
             if entered < len(runs):
                 stop = min(stop, runs[entered][0])
-            for level in range(level, stop):
-                yield map(sub, repeat((level + 1) * n), reversed(active))
+            offsets = tuple(reversed(active))
+            for top in range(level * n + n, stop * n + n, n):
+                yield top, offsets
             level = stop
 
-    return chain.from_iterable(levels())
+    return levels()
+
+
+def box_elements(arrangement: Sequence[int], cstars: Sequence[int]) -> Iterator[int]:
+    """The c* box of the arrangement in ascending order: the levels of
+    ``box_levels``, flattened.  Its checks run here, not at the first
+    element."""
+    return chain.from_iterable(map(sub, repeat(top), offsets) for top, offsets in box_levels(arrangement, cstars))
 
 
 def apery_box(arrangement: Sequence[int], cstars: Sequence[int]) -> AperySet:

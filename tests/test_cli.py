@@ -492,6 +492,7 @@ def test_verify_builds_no_apery_box(capsys, monkeypatch):
     for owner, name in (
         (telescopic, "apery_box"),
         (telescopic, "box_elements"),
+        (telescopic, "box_levels"),
         (figurate, "triangular_apery"),
         (figurate, "tetrahedral_apery"),
     ):
@@ -534,6 +535,81 @@ def test_analyze_above_the_materialize_limit_refuses(capsys):
     assert code == 2
     assert "desk-scale" in captured.err
     assert captured.out == ""
+
+
+def test_analyze_full_past_the_materialize_limit_refuses_before_any_output(capsys, monkeypatch, tmp_path):
+    # tetrahedral 388 is the first member whose anchor passes the limit
+    start = time.perf_counter()
+    code = cli.main(["analyze", "--tetrahedral", "388", "--full"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 10
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: Apery set of size 10039316 exceeds the desk-scale limit (10000000)\n"
+    # the box's own checks run while the record is built: a box the divide
+    # chain does not prove writes nothing, not even the --out file
+    monkeypatch.setattr(telescopic, "_residues_distinct", lambda arrangement, cstars: False)
+    out = tmp_path / "report.json"
+    for fmt in ("json", "text"):
+        code = cli.main(["analyze", "--tetrahedral", "11", "--full", "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "internal invariant violation: the divide chain of (560, 455, 364, 286)"
+            " does not prove the c* (16, 5, 7) box's residues distinct\n"
+        )
+        assert not out.exists()
+
+
+def test_brief_apery_summaries_read_the_ends_without_a_sort(monkeypatch):
+    # Ap(<7, 10, 12>, 7) filed by residue: the three smallest and largest
+    # come by heapq; only a set of at most 6, or --full, is sorted whole
+    ap = core.NumericalSemigroup((7, 10, 12)).apery()
+    listed = sorted(ap)
+    expected = {
+        "anchor": 7,
+        "size": 7,
+        "max": listed[-1],
+        "frobenius_from_apery": listed[-1] - 7,
+        "smallest": listed[:3],
+        "largest": listed[-3:],
+    }
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "sorted", lambda *args: pytest.fail("sorted"), raising=False)
+        assert cli._apery_summary(7, ap, False) == expected
+    assert cli._apery_summary(7, ap, True)["elements"] == listed
+    small = core.NumericalSemigroup((5, 7, 9)).apery()
+    assert cli._apery_summary(5, small, False)["elements"] == sorted(small) == [0, 7, 9, 16, 18]
+
+
+@pytest.mark.parametrize("kind", ["triangular", "tetrahedral"])
+def test_full_box_writer_gives_the_bytes_of_the_listed_box(kind):
+    # every n below 90 at full embedding dimension: the levels written into
+    # one buffer against the listed box through json.dumps and _scalar
+    forms = cli._closed_forms(kind)
+    anchors, reversed_residues = [], set()
+    for n in range(1, 90):
+        gens = forms.generators(n)
+        if figurate.figurate_embedding_dimension(kind, n) != len(gens):
+            continue
+        form = forms.cstar(n)
+        anchor = form.arrangement[0]
+        anchors.append(anchor)
+        if anchor == max(gens):
+            reversed_residues.add(n % 6)
+        elements = list(telescopic.box_elements(form.arrangement, form.cstars))
+        listed = {"apery": cli._apery_summary(anchor, elements, True)}
+        assert listed["apery"]["elements"] == elements
+        # a record holds the levels, written once by one writer
+        record = {"apery": cli._box_summary(form.arrangement, form.cstars, True)}
+        assert type(record["apery"]["elements"]) is cli._BoxLevels
+        assert cli._format_payload(record, "json", []) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+        record = {"apery": cli._box_summary(form.arrangement, form.cstars, True)}
+        text = cli._format_payload(record, "text", [])
+        assert text.endswith(f"\napery.elements: {cli._scalar(elements)}\n")
+        assert text == cli._format_payload(listed, "text", [])
+    # anchors up to 6, which a brief summary lists whole, and the reversed
+    # tetrahedral members, whose anchor TH_{n+3} is the largest generator
+    assert min(anchors) <= 6 if kind == "triangular" else reversed_residues == {4, 5}
 
 
 def test_analyze_gens_above_the_materialize_limit_refuses_before_the_cstar_search(capsys):

@@ -32,6 +32,7 @@ from numsemi.telescopic import (
     arranged_minimal,
     box_elements,
     box_is_apery,
+    box_levels,
     brauer_shockley_frobenius,
     cstar_constants,
     divide_chain,
@@ -369,15 +370,16 @@ def test_apery_box_falls_back_to_the_checked_constructor():
         ((6, 0, 10, 15), (2, 3, 1)),
         ((6, 5, -1, 1), (2, 3, 1)),
     ]:
-        for build in (apery_box, box_elements):
+        for build in (apery_box, box_elements, box_levels):
             with pytest.raises(InvariantViolation, match=positive):
                 build(arrangement, cstars)
 
 
 def test_apery_box_refuses_anchors_above_the_materialize_limit():
     anchor = APERY_MATERIALIZE_LIMIT + 1
-    with pytest.raises(ValueError, match="desk-scale"):
-        apery_box((anchor, 2), (anchor,))
+    for build in (apery_box, box_elements, box_levels):
+        with pytest.raises(ValueError, match="desk-scale"):
+            build((anchor, 2), (anchor,))
     with pytest.raises(ValueError, match="desk-scale"):
         box_is_apery(NumericalSemigroup((2, 3)), (anchor, 2), (anchor,))
 
@@ -386,8 +388,9 @@ def test_free_apery_overflow():
     fd = FreeDecomposition((3, 2**63 - 4), (3,), ((2**63 - 4,),))
     with pytest.raises(OverflowError):
         free_apery(fd)
-    with pytest.raises(OverflowError):
-        box_elements(fd.arrangement, fd.cstars)
+    for build in (box_elements, box_levels):
+        with pytest.raises(OverflowError):
+            build(fd.arrangement, fd.cstars)
 
 
 def _box(arrangement, cstars):
@@ -427,6 +430,16 @@ def test_box_elements_checks_at_the_call_and_sweeps_lazily():
     assert list(elements) == [10, 15, 20, 25, 35]
     with pytest.raises(InvariantViolation, match="multiply"):
         box_elements((6, 10, 15), (3,))  # not drawn from
+
+
+def test_box_levels_check_at_the_call_and_give_each_level_once():
+    # n_e = 15 with c* 2 over the bases 0, 10, 20: levels 0, 1 and 2
+    levels = box_levels((6, 10, 15), (3, 2))
+    assert iter(levels) is levels
+    assert list(levels) == [(15, (15, 5)), (30, (15, 10, 5)), (45, (10,))]
+    # a box the divide chain does not prove is refused before any level is drawn
+    with pytest.raises(InvariantViolation, match="does not prove"):
+        box_levels((4, 1, 2), (2, 2))
 
 
 def test_box_elements_skip_the_empty_levels():
@@ -487,7 +500,7 @@ def test_residue_proof_stays_exact_where_the_chain_does_not_settle():
     # 0..3 are distinct the box is refused, as no free arrangement's is
     assert not _residues_distinct((4, 1, 2), (2, 2))
     assert sorted(_box((4, 1, 2), (2, 2))) == [0, 1, 2, 3]
-    for build in (apery_box, box_elements):
+    for build in (apery_box, box_elements, box_levels):
         with pytest.raises(InvariantViolation, match="does not prove"):
             build((4, 1, 2), (2, 2))
     assert not box_is_apery(NumericalSemigroup((1,)), (4, 1, 2), (2, 2))
@@ -537,7 +550,7 @@ def test_box_checks_match_the_per_element_filing(box):
         assert apery_box(arrangement, cstars).by_residue == tuple(by_residue)
         assert list(box_elements(arrangement, cstars)) == sorted(by_residue)
     else:  # refused at the call, with nothing drawn
-        for build in (apery_box, box_elements):
+        for build in (apery_box, box_elements, box_levels):
             with pytest.raises(InvariantViolation, match="does not prove"):
                 build(arrangement, cstars)
 
@@ -550,6 +563,15 @@ def test_box_elements_sweep_distinct_boxes_in_ascending_order(box):
     arrangement, cstars = box
     assume(_residues_distinct(arrangement, cstars))
     assert list(box_elements(arrangement, cstars)) == sorted(_box(arrangement, cstars))
+    # one pair per level that holds an element: tops ascending multiples of
+    # n_e, each level's elements within [top - n_e, top) and ascending
+    levels = list(box_levels(arrangement, cstars))
+    n = arrangement[-1]
+    assert all(offsets for _, offsets in levels)
+    assert [top for top, _ in levels] == sorted({top for top, _ in levels})
+    for top, offsets in levels:
+        assert top % n == 0 and all(0 < o <= n for o in offsets)
+        assert list(offsets) == sorted(offsets, reverse=True)
 
 
 def test_free_presentation_examples():
