@@ -20,7 +20,7 @@ import json
 import sys
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import sub
+from operator import itemgetter, mod, sub
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
@@ -175,6 +175,118 @@ def _int_list_repr(value: list | tuple) -> str | None:
     return None
 
 
+class _Rows:
+    """The rows of a table: tuples in column order of plain ints, strs and
+    lists or tuples of plain ints.  ``write`` gives what ``_format_payload``
+    gives for the same rows as dicts, and the JSON writer calls it for a
+    record's value.  A row's shape is each value's kind: int, str or the
+    length of its list.  Each shape's %-template is built once per write,
+    so a row is one ``template % values``, its str values written as the
+    format writes a str."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: Sequence[str], rows: list[tuple]) -> None:
+        self.columns = tuple(columns)
+        self.rows = rows
+
+    def write(self, fmt: str, pad: str = "") -> str:
+        """The rows as JSON (a list at indent ``pad``), text or CSV.  Before
+        any is written, the ints and list items are checked in one pass:
+        any value other than a plain int raises ``InvariantViolation``."""
+        columns, rows = self.columns, self.rows
+        widths = set(map(len, rows)) - {len(columns)}
+        if widths:
+            raise InvariantViolation(f"rows of {sorted(widths)} values under {len(columns)} columns")
+        if fmt == "json":
+            order = sorted(range(len(columns)), key=columns.__getitem__)
+            keys = [columns[i] for i in order]
+            if len(order) > 1:  # values in key order
+                rows = map(itemgetter(*order), rows)
+            word = encode_basestring_ascii
+        elif fmt == "csv":
+            keys = columns
+            word = functools.cache(functools.partial(_csv_word, width=len(columns)))
+        else:
+            keys = columns
+            word = str
+        inner = pad + "  "
+        templates: dict[tuple, str] = {}
+        shaped, flats, ints = [], [], []
+        for row in rows:
+            shape, flat = [], []
+            for value in row:
+                kind = type(value)
+                if kind is str:
+                    shape.append(str)
+                    flat.append(word(value))
+                elif kind is list or kind is tuple:
+                    shape.append(len(value))
+                    flat += value
+                    ints += value
+                else:
+                    shape.append(int)
+                    flat.append(value)
+                    ints.append(value)
+            shape = tuple(shape)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _row_template(keys, shape, fmt, inner)
+            shaped.append(template)
+            flats.append(tuple(flat))
+        kinds = set(map(type, ints))
+        if not kinds <= {int}:
+            names = sorted(k.__name__ for k in kinds - {int})
+            raise InvariantViolation(f"table values must be plain ints, strs and int lists, got {names}")
+        text = map(mod, shaped, flats)
+        if fmt == "json":
+            return "[\n" + inner + (",\n" + inner).join(text) + "\n" + pad + "]" if self.rows else "[]"
+        if fmt == "csv":
+            return _csv_line(columns) + "".join(text)
+        return "".join(text)
+
+
+def _row_template(keys: Sequence[str], shape: tuple, fmt: str, pad: str) -> str:
+    """The %-template of a row of ``shape`` under ``keys``: a JSON object at
+    indent ``pad``, ``key: value`` lines, or a CSV line.  An int is ``%d``,
+    a str ``%s`` (given as written), a list one ``%d`` per item; the text
+    around them is written as ``_json``, ``_text_lines`` and
+    ``_record_to_csv`` write it."""
+    inner = pad + "  "
+    values = []
+    for kind in shape:
+        if kind is int:
+            values.append("%d")
+        elif kind is str:
+            values.append("%s")
+        elif not kind:
+            values.append("[]")
+        elif fmt == "json":
+            item = ",\n  " + inner
+            values.append("[" + item[1:] + item.join(["%d"] * kind) + "\n" + inner + "]")
+        else:
+            items = "[" + ", ".join(["%d"] * kind) + "]"
+            values.append('"' + items + '"' if fmt == "csv" and kind > 1 else items)
+    if fmt == "csv":
+        return ",".join(values) + "\n"
+    if fmt == "json":
+        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": " + v for key, v in zip(keys, values)]
+        return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    return "".join(key.replace("%", "%%") + ": " + v + "\n" for key, v in zip(keys, values))
+
+
+def _csv_line(fields: Sequence) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_word(text: str, width: int) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of ``width`` fields
+    (a lone empty field is quoted)."""
+    return _csv_line([text] + [0] * (width - 1))[: 1 - 2 * width]
+
+
 def _json(value: object, parts: list[str], pad: str = "") -> None:
     """Append the pieces of ``json.dumps(value, sort_keys=True, indent=2)``
     to ``parts``, for str-keyed records; ``_format_payload`` joins them
@@ -182,9 +294,9 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
     set, ``json.dumps`` runs its pure-Python encoder, one generator step per
     list element; here a list that passes ``_int_list_repr``, such as a full
     generic Apery set, is one ``repr`` with its separators replaced, and a
-    full c* box is written by its levels (``_BoxLevels``).  A dict writes
-    its int, str and bool values, such lists and boxes itself, not by a
-    call each."""
+    full c* box is written by its levels (``_BoxLevels``) and table rows
+    by their templates (``_Rows``).  A dict writes its int, str and bool
+    values, such lists, boxes and rows itself, not by a call each."""
     if isinstance(value, dict):
         inner = pad + "  "
         lead = "{\n" + inner
@@ -204,6 +316,8 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
                 parts += (head, start, text[1:-1].replace(", ", sep), end)
             elif kind is _BoxLevels:
                 parts += (head, start, item.write(sep.encode()), end)
+            elif kind is _Rows:
+                parts += (head, item.write("json", inner))
             else:
                 parts.append(head)
                 _json(item, parts, inner)
@@ -643,20 +757,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # table
 
 
-def _family_row(kind: str, forms: SimpleNamespace, n: int) -> dict:
-    gens = forms.generators(n)
-    full = figurate.figurate_embedding_dimension(kind, n) == len(gens)
-    return {
-        "n": n,
-        "generators": list(gens),
-        "frobenius": forms.frobenius(n),
-        "cstar": list(forms.cstar(n).cstars) if full else "",
-        "betti": sorted(forms.betti(n)) if full else "",
-        "direction": forms.direction(n).value,
-    }
+TABLE_COLUMNS = ("n", "generators", "frobenius", "cstar", "betti", "direction")
 
 
-def _choose4_row(n: int) -> dict:
+def _choose4_row(n: int) -> tuple:
     gens, cls = figurate.choose4_family(n)
     ordered = gens if cls in (figurate.TelescopicClass.FORWARD, figurate.TelescopicClass.BOTH) else gens[::-1]
     semigroup = core.NumericalSemigroup(gens)
@@ -667,41 +771,36 @@ def _choose4_row(n: int) -> dict:
         verdict = telescopic.is_free(arrangement, _semigroup=semigroup)
         fd = verdict if verdict else None
     frobenius = telescopic.brauer_shockley_frobenius(gens, _semigroup=semigroup)
-    return {
-        "n": n,
-        "generators": list(gens),
-        "frobenius": frobenius,
-        "cstar": list(fd.cstars) if fd else "",
-        "betti": sorted(telescopic.free_betti(fd)) if fd else "",
-        "direction": cls.value,
-    }
+    if fd is None:
+        return (n, gens, frobenius, "", "", cls.value)
+    return (n, gens, frobenius, fd.cstars, sorted(telescopic.free_betti(fd)), cls.value)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows: list[dict]
     if args.family == "arith":
         if args.n is None or args.k is None:
             raise ValueError("table --family arith needs --n N and --k a..b")
         klo, khi = _parse_range(args.k)
+        columns: Sequence[str] = ("k", "generators", "frobenius")
         rows = [
-            {
-                "k": k,
-                "generators": list(figurate.arithmetic_generators(args.n, k)),
-                "frobenius": figurate.brauer_arithmetic_frobenius(args.n, k),
-            }
+            (k, figurate.arithmetic_generators(args.n, k), figurate.brauer_arithmetic_frobenius(args.n, k))
             for k in range(klo, khi + 1)
         ]
     else:
         if args.range is None:
             raise ValueError("--range a..b is required for this family")
         lo, hi = _parse_range(args.range)
+        columns = TABLE_COLUMNS
         if args.family == "choose4":
             rows = [_choose4_row(n) for n in range(lo, hi + 1)]
         else:
-            forms = _closed_forms(args.family)
-            rows = [_family_row(args.family, forms, n) for n in range(lo, hi + 1)]
-    record = {"schema": SCHEMA_VERSION, "family": args.family, "rows": rows} if args.format == "json" else rows
-    _emit(_format_payload(record, args.format, rows), args.out)
+            rows = [figurate.table_row(args.family, n) for n in range(lo, hi + 1)]
+    table = _Rows(columns, rows)
+    if args.format == "json":
+        payload = _format_payload({"schema": SCHEMA_VERSION, "family": args.family, "rows": table}, "json", [])
+    else:
+        payload = table.write(args.format)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

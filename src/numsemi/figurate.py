@@ -164,9 +164,11 @@ def triangular_frobenius_case_form(n: int) -> int:
 
 def triangular_frobenius_floor_form(n: int) -> int:
     """Unified floor form: floor(n/2) * (sum of the three generators - 1) - 1."""
-    require_positive(n, "n")
-    t0, t1, t2 = triangular_generators(n)
-    return (n // 2) * (t0 + t1 + t2 - 1) - 1
+    return _triangular_floor_form(n, triangular_generators(n))
+
+
+def _triangular_floor_form(n: int, gens: tuple[int, int, int]) -> int:
+    return (n // 2) * (sum(gens) - 1) - 1
 
 
 def frobenius_triangular(n: int) -> int:
@@ -174,8 +176,12 @@ def frobenius_triangular(n: int) -> int:
 
     Evaluates both printed forms and insists they agree.
     """
+    return _frobenius_triangular(n, triangular_generators(n))
+
+
+def _frobenius_triangular(n: int, gens: tuple[int, int, int]) -> int:
     case = triangular_frobenius_case_form(n)
-    floor = triangular_frobenius_floor_form(n)
+    floor = _triangular_floor_form(n, gens)
     if case != floor:
         raise InvariantViolation(f"triangular Frobenius forms disagree at n={n}: {case} != {floor}")
     return checked_int64(case, "triangular Frobenius number")
@@ -210,8 +216,11 @@ def baker_a(n: int) -> int:
 def frobenius_tetrahedral(n: int) -> int:
     """Frobenius number of four consecutive tetrahedral numbers, keyed on
     n mod 6.  All interior divisions are exact by construction."""
-    require_positive(n, "n")
-    t0, t1, t2, t3 = tetrahedral_generators(n)
+    return _frobenius_tetrahedral(n, tetrahedral_generators(n))
+
+
+def _frobenius_tetrahedral(n: int, gens: tuple[int, int, int, int]) -> int:
+    t0, t1, t2, t3 = gens
     r = n % 6
     if r == 0:
         value = _exact_div(n - 3, 3, "n=6k case") * t1 + n * t2 + _exact_div(n, 2, "n=6k case") * t3 - t0
@@ -284,11 +293,13 @@ def triangular_cstar(n: int) -> CstarForm:
     require_positive(n, "n")
     if n < 3:
         raise ValueError(REDUCED_EDIM_MSG)
+    return CstarForm(triangular_generators(n), _triangular_cstars(n))
+
+
+def _triangular_cstars(n: int) -> tuple[int, int]:
     if n % 2:
-        cstars = (n, _exact_div(n + 1, 2, "odd triangular c*"))
-    else:
-        cstars = (_exact_div(n, 2, "even triangular c*"), n + 1)
-    return CstarForm(triangular_generators(n), cstars)
+        return (n, _exact_div(n + 1, 2, "odd triangular c*"))
+    return (_exact_div(n, 2, "even triangular c*"), n + 1)
 
 
 def tetrahedral_cstar(n: int) -> CstarForm:
@@ -298,21 +309,23 @@ def tetrahedral_cstar(n: int) -> CstarForm:
     if n < 4:
         raise ValueError(REDUCED_EDIM_MSG)
     gens = tetrahedral_generators(n)
+    return CstarForm(gens if n % 6 < 4 else gens[::-1], _tetrahedral_cstars(n))
+
+
+def _tetrahedral_cstars(n: int) -> tuple[int, int, int]:
     div = _exact_div
     r = n % 6
     if r == 0:
-        cstars = (div(n, 3, "c*"), n + 1, div(n + 2, 2, "c*"))
-    elif r == 1:
-        cstars = (n, div(n + 1, 2, "c*"), div(n + 2, 3, "c*"))
-    elif r == 2:
-        cstars = (n, div(n + 1, 3, "c*"), div(n + 2, 2, "c*"))
-    elif r == 3:
-        cstars = (div(n, 3, "c*"), div(n + 1, 2, "c*"), n + 2)
-    elif r == 4:
-        cstars = (div(n + 5, 3, "c*"), div(n + 4, 2, "c*"), n + 3)
-    else:
-        cstars = (n + 5, div(n + 4, 3, "c*"), div(n + 3, 2, "c*"))
-    return CstarForm(gens if r < 4 else gens[::-1], cstars)
+        return (div(n, 3, "c*"), n + 1, div(n + 2, 2, "c*"))
+    if r == 1:
+        return (n, div(n + 1, 2, "c*"), div(n + 2, 3, "c*"))
+    if r == 2:
+        return (n, div(n + 1, 3, "c*"), div(n + 2, 2, "c*"))
+    if r == 3:
+        return (div(n, 3, "c*"), div(n + 1, 2, "c*"), n + 2)
+    if r == 4:
+        return (div(n + 5, 3, "c*"), div(n + 4, 2, "c*"), n + 3)
+    return (n + 5, div(n + 4, 3, "c*"), div(n + 3, 2, "c*"))
 
 
 def triangular_presentation(n: int) -> Presentation:
@@ -386,6 +399,29 @@ def tetrahedral_betti(n: int) -> set[int]:
     else:
         values = (4 * b5, _exact_div(4 * b4, 3, "Betti"), 2 * b3)
     return {checked_int64(v, "Betti element") for v in values}
+
+
+def table_row(family: str, n: int) -> tuple:
+    """One row of a family table, in column order: (n, generators, F, c*,
+    sorted Betti elements, direction value), with c* and Betti "" below
+    full embedding dimension.  The generators are computed once and passed
+    to the formula ``frobenius_*`` wraps; c* is the tuple ``*_cstar`` wraps,
+    with no ``CstarForm``.  Every check of those forms runs.  The Betti
+    elements and the direction are read through this module, so a patched
+    form is the one a row reports."""
+    if family == "triangular":
+        gens = triangular_generators(n)
+        row = (n, gens, _frobenius_triangular(n, gens))
+        if n < 3:
+            return (*row, "", "", triangular_direction(n).value)
+        return (*row, _triangular_cstars(n), sorted(triangular_betti(n)), triangular_direction(n).value)
+    if family == "tetrahedral":
+        gens = tetrahedral_generators(n)
+        row = (n, gens, _frobenius_tetrahedral(n, gens))
+        if n < 4:
+            return (*row, "", "", tetrahedral_direction(n).value)
+        return (*row, _tetrahedral_cstars(n), sorted(tetrahedral_betti(n)), tetrahedral_direction(n).value)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def triangular_apery(n: int) -> AperySet:

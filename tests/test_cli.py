@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from numsemi import _kernels, arith, cli, core, figurate, telescopic
+from numsemi.errors import InvariantViolation
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -764,6 +765,71 @@ def test_table_formats_parse_back_to_the_same_rows(capsys, family, span):
     assert from_text == from_csv == from_json
     # below full embedding dimension the structural fields are empty
     assert from_json[0][3:5] == ("", "")
+
+
+ARITH_COLUMNS = ("k", "generators", "frobenius")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "family, extra, columns, rows",
+    [
+        # each range crosses every change of row shape of its family
+        ("triangular", ("--range", "1..40"), TABLE_FIELDS, lambda: [figurate.table_row("triangular", n) for n in range(1, 41)]),
+        ("tetrahedral", ("--range", "1..40"), TABLE_FIELDS, lambda: [figurate.table_row("tetrahedral", n) for n in range(1, 41)]),
+        ("choose4", ("--range", "1..40"), TABLE_FIELDS, lambda: [cli._choose4_row(n) for n in range(1, 41)]),
+        (
+            "arith",
+            ("--n", "6", "--k", "2..5"),
+            ARITH_COLUMNS,
+            lambda: [(k, figurate.arithmetic_generators(6, k), figurate.brauer_arithmetic_frobenius(6, k)) for k in range(2, 6)],
+        ),
+    ],
+)
+def test_table_rows_are_written_as_the_dict_writers_write_them(capsys, fmt, family, extra, columns, rows):
+    code, out = run(capsys, "table", "--family", family, *extra, "--format", fmt)
+    assert code == 0
+    dicts = [{key: list(v) if type(v) is tuple else v for key, v in zip(columns, row)} for row in rows()]
+    record = {"schema": cli.SCHEMA_VERSION, "family": family, "rows": dicts} if fmt == "json" else dicts
+    assert out == cli._format_payload(record, fmt, dicts)
+
+
+def test_table_evaluates_the_closed_forms_once_per_row(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("CstarForm built")
+
+    monkeypatch.setattr(figurate, "CstarForm", refuse)
+    calls: dict[str, list[int]] = {"triangular": [], "tetrahedral": []}
+    for family, seen in calls.items():
+        form = getattr(figurate, f"{family}_generators")
+        monkeypatch.setattr(figurate, f"{family}_generators", lambda n, form=form, seen=seen: seen.append(n) or form(n))
+    for family in calls:
+        code, out = run(capsys, "table", "--family", family, "--range", "300..799", "--format", "json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 500
+        assert calls[family] == list(range(300, 800))  # the parent computed each three times
+        calls[family].clear()
+    assert calls == {"triangular": [], "tetrahedral": []}
+
+
+class _Plain(int):
+    pass
+
+
+def test_table_refuses_a_value_it_would_write_wrong(capsys, monkeypatch, tmp_path):
+    # a Betti set of {True} would print 1 through %d
+    monkeypatch.setattr(figurate, "triangular_betti", lambda n: {True})
+    refused = "internal invariant violation: table values must be plain ints, strs and int lists, got ['bool']\n"
+    for fmt in ("text", "json", "csv"):
+        code = cli.main(["table", "--family", "triangular", "--range", "1..5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", refused)
+        target = tmp_path / f"table.{fmt}"
+        code = cli.main(["table", "--family", "triangular", "--range", "1..5", "--format", fmt, "--out", str(target)])
+        assert (code, capsys.readouterr().err) == (1, refused) and not target.exists()
+        # an int field or list item of any other type, and a row of another width
+        for row in ((1.5, 2), (None, 2), (_Plain(3), 2), (["x"], 2), ((1, 2.0), 2), ([True], 2), (1, 2, 3)):
+            with pytest.raises(InvariantViolation):
+                cli._Rows(("a", "b"), [(1, [2]), row]).write(fmt)
 
 
 def test_csv_refuses_a_row_whose_keys_differ_from_the_header():

@@ -148,3 +148,32 @@ text_fields = st.recursive(
 @example((5,))
 def test_text_field_matches_item_by_item_writer(value):
     assert cli._scalar(value) == scalar_field(value)
+
+
+table_ints = st.integers(min_value=-(10**20), max_value=10**20)
+table_words = st.text(alphabet='ab,"\n\r %', max_size=4)  # the characters CSV quotes, and %
+table_values = st.one_of(
+    table_ints, table_words, st.lists(table_ints, max_size=3), st.lists(table_ints, max_size=3).map(tuple)
+)
+
+
+@st.composite
+def tables(draw) -> tuple[list[str], list[tuple]]:
+    columns = draw(st.lists(st.text(alphabet='ab%,"', max_size=3), min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(*[table_values] * len(columns)), max_size=6))
+    return columns, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables())
+@example((["a"], [("",), ([],), ([-7],), ((3, -4),)]))  # a lone empty CSV field is quoted
+@example((["b", "a"], [(-1, 'x,"y\n'), ([], "")]))
+def test_table_row_writer_matches_the_dict_writers(table):
+    columns, rows = table
+    dicts = [dict(zip(columns, row)) for row in rows]
+    written = cli._Rows(columns, rows)
+    as_json = cli._format_payload({"rows": written}, "json", [])
+    assert as_json == cli._format_payload({"rows": dicts}, "json", []) == json.dumps({"rows": dicts}, sort_keys=True, indent=2) + "\n"
+    assert written.write("text") == cli._format_payload(dicts, "text", dicts)
+    header = cli._record_to_csv([dict.fromkeys(columns, 0)]).partition("\n")[0] + "\n"
+    assert written.write("csv") == (cli._format_payload(dicts, "csv", dicts) if rows else header)

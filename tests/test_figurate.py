@@ -20,6 +20,7 @@ from numsemi.figurate import (
     choose4_generators,
     choose5_counterexample,
     figurate_embedding_dimension,
+    table_row,
     frobenius_tetrahedral,
     frobenius_triangular,
     tetrahedral_apery,
@@ -395,3 +396,42 @@ def test_closed_form_overflow():
         frobenius_tetrahedral(300_000)
     with pytest.raises(OverflowError):
         brauer_arithmetic_frobenius(2**40, 2)
+
+
+def _row_from_public_forms(family: str, n: int) -> tuple:
+    """A table row from the public forms, each taking n alone, in the
+    order the row evaluates them."""
+    forms = {
+        "triangular": (triangular_generators, frobenius_triangular, triangular_cstar, triangular_betti, triangular_direction),
+        "tetrahedral": (tetrahedral_generators, frobenius_tetrahedral, tetrahedral_cstar, tetrahedral_betti, tetrahedral_direction),
+    }
+    generators, frobenius, cstar, betti, direction = forms[family]
+    gens = generators(n)
+    full = figurate_embedding_dimension(family, n) == len(gens)
+    return (
+        n,
+        gens,
+        frobenius(n),
+        cstar(n).cstars if full else "",
+        sorted(betti(n)) if full else "",
+        direction(n).value,
+    )
+
+
+@pytest.mark.parametrize("family", ["triangular", "tetrahedral"])
+def test_table_row_is_the_public_forms(family):
+    for n in range(1, 301):
+        assert table_row(family, n) == _row_from_public_forms(family, n)
+    # the same error first, from the same form: n out of range or not an
+    # int, generators past 64 bits, or F past 64 bits with the generators in
+    for n in (0, -1, True, 2.5, INT64_MAX, 2**32, 3_810_777, 3_000_000, 300_000):
+        try:
+            expected = _row_from_public_forms(family, n)
+        except (TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                table_row(family, n)
+            assert str(got.value) == str(exc)
+        else:
+            assert table_row(family, n) == expected
+    with pytest.raises(ValueError, match="unknown family 'choose4'"):
+        table_row("choose4", 5)
