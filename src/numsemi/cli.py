@@ -105,36 +105,14 @@ def _text_lines(mapping: dict, prefix: str) -> list[str]:
 
 
 def _scalar(value: object) -> str:
-    """A field of text and CSV output: a list or tuple as ``[a, b]``, a bool
-    as ``true``/``false``.  A list that passes the JSON writer's check is
-    its ``repr``; any other is written item by item."""
+    """A text field: a list or tuple as ``[a, b]``, a bool as
+    ``true``/``false``.  A list that passes the JSON writer's check is its
+    ``repr``; any other is written item by item."""
     if isinstance(value, (list, tuple)):
         return _int_list_repr(value) or "[" + ", ".join(_scalar(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _record_to_csv(rows: list[dict]) -> str:
-    """A header of the first row's keys, then each row's values in that
-    order; a row with other keys, or the same keys in another order, is
-    refused.  A list, tuple or bool is written as ``_scalar`` writes it,
-    any other value as ``csv.writer`` does (None as an empty field)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0])
-    writer.writerow(header)
-    for row in rows:
-        if list(row) != header:
-            raise ValueError(f"CSV row keys {list(row)} differ from the header {header}")
-        # a plain-int list is written without the call to _scalar
-        writer.writerow(
-            [
-                (_int_list_repr(v) or _scalar(v)) if type(v) is list else _scalar(v) if isinstance(v, (tuple, bool)) else v
-                for v in row.values()
-            ]
-        )
-    return buf.getvalue()
 
 
 class _BoxLevels:
@@ -176,13 +154,16 @@ def _int_list_repr(value: list | tuple) -> str | None:
 
 
 class _Rows:
-    """The rows of a table: tuples in column order of plain ints, strs and
-    lists or tuples of plain ints.  ``write`` gives what ``_format_payload``
-    gives for the same rows as dicts, and the JSON writer calls it for a
-    record's value.  A row's shape is each value's kind: int, str or the
-    length of its list.  Each shape's %-template is built once per write,
-    so a row is one ``template % values``, its str values written as the
-    format writes a str."""
+    """The rows of a table or of a command's CSV payload: tuples in column
+    order of plain ints, strs, bools and lists or tuples of plain ints.
+    ``write`` gives the bytes of ``json.dumps(sort_keys=True, indent=2)``
+    for the rows as dicts, their ``key: value`` lines, or ``csv.writer``'s
+    rows under a header, a list written ``[a, b]`` and a bool
+    ``true``/``false``; the JSON writer calls it for a record's value.  A
+    row's shape is each value's kind: int, str, the length of its list, or
+    the bool's word.  Each shape's %-template is built once per write, so a
+    row is one ``template % values``, its str values written as the format
+    writes a str."""
 
     __slots__ = ("columns", "rows")
 
@@ -193,7 +174,8 @@ class _Rows:
     def write(self, fmt: str, pad: str = "") -> str:
         """The rows as JSON (a list at indent ``pad``), text or CSV.  Before
         any is written, the ints and list items are checked in one pass:
-        any value other than a plain int raises ``InvariantViolation``."""
+        any value other than a plain int, a bool inside a list included,
+        raises ``InvariantViolation``."""
         columns, rows = self.columns, self.rows
         widths = set(map(len, rows)) - {len(columns)}
         if widths:
@@ -224,6 +206,8 @@ class _Rows:
                     shape.append(len(value))
                     flat += value
                     ints += value
+                elif kind is bool:  # a word, not 1 or 0: (True,) == (1,) as a key
+                    shape.append("true" if value else "false")
                 else:
                     shape.append(int)
                     flat.append(value)
@@ -249,9 +233,9 @@ class _Rows:
 def _row_template(keys: Sequence[str], shape: tuple, fmt: str, pad: str) -> str:
     """The %-template of a row of ``shape`` under ``keys``: a JSON object at
     indent ``pad``, ``key: value`` lines, or a CSV line.  An int is ``%d``,
-    a str ``%s`` (given as written), a list one ``%d`` per item; the text
-    around them is written as ``_json``, ``_text_lines`` and
-    ``_record_to_csv`` write it."""
+    a str ``%s`` (given as written), a bool its word, a list one ``%d`` per
+    item; the text around them is written as ``json.dumps``, ``_text_lines``
+    and ``csv.writer`` write it."""
     inner = pad + "  "
     values = []
     for kind in shape:
@@ -259,6 +243,8 @@ def _row_template(keys: Sequence[str], shape: tuple, fmt: str, pad: str) -> str:
             values.append("%d")
         elif kind is str:
             values.append("%s")
+        elif kind in ("true", "false"):
+            values.append(kind)
         elif not kind:
             values.append("[]")
         elif fmt == "json":
@@ -348,16 +334,14 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
         parts.append(json.dumps(value))
 
 
-def _format_payload(record: dict | list, fmt: str, csv_rows: list[dict]) -> str:
+def _format_payload(record: dict | list, fmt: str) -> str:
+    """``record`` (or ``verify``'s list of records) as JSON, or a record as
+    text.  A command writes its CSV rows through ``_Rows``."""
     if fmt == "json":
         parts: list[str] = []
         _json(record, parts)
         parts.append("\n")
         return "".join(parts)
-    if fmt == "csv":
-        return _record_to_csv(csv_rows)
-    if isinstance(record, list):
-        return "".join(_record_to_text(r) for r in record)
     return _record_to_text(record)
 
 
@@ -369,6 +353,14 @@ def _closed_forms(kind: str) -> SimpleNamespace:
         frobenius=getattr(figurate, f"frobenius_{kind}"),
         **{name: getattr(figurate, f"{kind}_{name}") for name in names},
     )
+
+
+def _refuse_options(args: argparse.Namespace, command: str, *dests: str) -> None:
+    """Refuse, before any output, an option that the family of ``args``
+    would ignore."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest} does not apply to {command} --family {args.family}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +422,12 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     }
     if len(methods) > 1:
         record["agreement"] = len(values) == 1
-    csv_rows = [
-        {
-            "input": descriptor["kind"],
-            "generators": list(descriptor["generators"]),
-            "frobenius": record["frobenius"],
-            "provenance": record["provenance"],
-        }
-    ]
-    _emit(_format_payload(record, args.format, csv_rows), args.out)
+    if args.format == "csv":
+        row = (descriptor["kind"], descriptor["generators"], record["frobenius"], record["provenance"])
+        payload = _Rows(("input", "generators", "frobenius", "provenance"), [row]).write("csv")
+    else:
+        payload = _format_payload(record, args.format)
+    _emit(payload, args.out)
     if len(methods) > 1 and len(values) != 1:
         print(f"method disagreement: {methods}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
@@ -596,15 +585,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         kind = "triangular" if args.triangular is not None else "tetrahedral"
         record = _analyze_family(kind, getattr(args, kind), args)
-    csv_rows = [
-        {
-            "generators": record["input"]["generators"],
-            "frobenius": record["frobenius"],
-            "free": record.get("free", ""),
-            "betti": record.get("betti", ""),
-        }
-    ]
-    _emit(_format_payload(record, args.format, csv_rows), args.out)
+    if args.format == "csv":
+        row = (record["input"]["generators"], record["frobenius"], record.get("free", ""), record["betti"])
+        payload = _Rows(("generators", "frobenius", "free", "betti"), [row]).write("csv")
+    else:
+        payload = _format_payload(record, args.format)
+    _emit(payload, args.out)
     if not record.get("agreement", True):
         print(f"method disagreement: {record['methods']}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
@@ -710,6 +696,7 @@ _VERIFY_CHECKS: dict[str, Callable[[int], str | None]] = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.family == "choose5perms":
+        _refuse_options(args, "verify", "range")
         report = figurate.choose5_counterexample()
         ok = report.telescopic_count == 0
         record = {
@@ -719,8 +706,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "telescopic": report.telescopic_count,
             "pass": ok,
         }
-        payload_rows = [record]
-        _emit(_format_payload([record], args.format, payload_rows), args.out)
+        if args.format == "csv":
+            payload = _Rows(tuple(record), [tuple(record.values())]).write("csv")
+        else:
+            payload = _format_payload([record] if args.format == "json" else record, args.format)
+        _emit(payload, args.out)
         if not ok:
             print("counterexample: some permutation is telescopic", file=sys.stderr)
             return EXIT_COUNTEREXAMPLE
@@ -744,9 +734,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines = [f"n={r['n']} {'pass' if r['pass'] else 'FAIL ' + r['detail']}" for r in records]
         total_ok = sum(1 for r in records if r["pass"])
         lines.append(f"{total_ok}/{len(records)} pass")
-        _emit("\n".join(lines) + "\n", args.out)
+        payload = "\n".join(lines) + "\n"
+    elif args.format == "csv":
+        payload = _Rows(tuple(records[0]), [tuple(r.values()) for r in records]).write("csv")
     else:
-        _emit(_format_payload(records, args.format, records), args.out)
+        payload = _format_payload(records, "json")
+    _emit(payload, args.out)
     if first_failure is not None:
         print(f"first counterexample: n={first_failure[0]}: {first_failure[1]}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
@@ -778,6 +771,7 @@ def _choose4_row(n: int) -> tuple:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "arith":
+        _refuse_options(args, "table", "range")
         if args.n is None or args.k is None:
             raise ValueError("table --family arith needs --n N and --k a..b")
         klo, khi = _parse_range(args.k)
@@ -787,6 +781,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             for k in range(klo, khi + 1)
         ]
     else:
+        _refuse_options(args, "table", "n", "k")
         if args.range is None:
             raise ValueError("--range a..b is required for this family")
         lo, hi = _parse_range(args.range)
@@ -797,7 +792,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             rows = [figurate.table_row(args.family, n) for n in range(lo, hi + 1)]
     table = _Rows(columns, rows)
     if args.format == "json":
-        payload = _format_payload({"schema": SCHEMA_VERSION, "family": args.family, "rows": table}, "json", [])
+        payload = _format_payload({"schema": SCHEMA_VERSION, "family": args.family, "rows": table}, "json")
     else:
         payload = table.write(args.format)
     _emit(payload, args.out)
@@ -822,11 +817,13 @@ def cmd_perms(args: argparse.Namespace) -> int:
             {"permutation": list(o.permutation), "failing_index": o.failing_index}
             for o in report.outcomes
         ]
-    csv_rows = [
-        {"permutation": list(o.permutation), "failing_index": o.failing_index}
-        for o in report.outcomes
-    ]
-    _emit(_format_payload(record, args.format, csv_rows), args.out)
+    if args.format == "csv":
+        # a telescopic permutation has no failing index: an empty field
+        rows = [(o.permutation, "" if o.failing_index is None else o.failing_index) for o in report.outcomes]
+        payload = _Rows(("permutation", "failing_index"), rows).write("csv")
+    else:
+        payload = _format_payload(record, args.format)
+    _emit(payload, args.out)
     return EXIT_OK if report.telescopic_count == 0 else EXIT_COUNTEREXAMPLE
 
 

@@ -12,14 +12,19 @@ it was before its level over two generators took a closed form, free Apery
 boxes filed element by element with a duplicate check (the package proves
 the residues distinct on one bitset first), the genus by counting sieve
 gaps (the package applies Selmer's formula to its Apery table), text and
-CSV fields item by item (the CLI writes a list of plain ints as its repr).
+CSV fields item by item (the CLI writes a list of plain ints as its repr),
+and rows through ``json.dumps`` and ``csv.writer`` (the CLI fills one
+%-template per row shape).
 Keep these dumb; they are the ground truth.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
+import json
 import math
 from typing import Sequence
 
@@ -256,3 +261,20 @@ def scalar_field(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def flat_rows(columns: Sequence[str], rows: Sequence[tuple], fmt: str) -> str:
+    """Tuple rows under ``columns`` as the CLI writes them: a JSON list of
+    objects by ``json.dumps(sort_keys=True, indent=2)``, ``key: value``
+    lines, or a header and rows by ``csv.writer``.  In text and CSV a list,
+    tuple or bool is written by ``scalar_field``."""
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows], sort_keys=True, indent=2)
+    flat = [[scalar_field(v) if isinstance(v, (list, tuple, bool)) else v for v in row] for row in rows]
+    if fmt == "text":
+        return "".join(f"{key}: {value}\n" for row in flat for key, value in zip(columns, row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(flat)
+    return buf.getvalue()

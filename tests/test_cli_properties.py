@@ -2,7 +2,8 @@
 every method must agree, and the Frobenius number and the c* constants
 must match the heap-Dijkstra oracles.  The CLI's JSON writer must match
 ``json.dumps(sort_keys=True, indent=2)`` byte for byte, and its text and
-CSV fields the item-by-item writer of ``oracles.scalar_field``."""
+CSV fields the item-by-item writer of ``oracles.scalar_field``; its
+table rows are those ``oracles.flat_rows`` writes with the stdlib."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from numsemi import cli, figurate, telescopic
 from numsemi.core import NumericalSemigroup
 
-from oracles import dijkstra_apery, dijkstra_cstars, scalar_field
+from oracles import dijkstra_apery, dijkstra_cstars, flat_rows, scalar_field
 
 
 def oracle_frobenius(gens: list[int]) -> int:
@@ -109,7 +110,7 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
-    assert cli._format_payload(value, "json", []) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 class Colour(enum.IntEnum):
@@ -132,7 +133,7 @@ def test_json_writer_int_lists(value):
     # a one-tuple's repr ends in ",)", and a bool among ints stays true; a
     # str, None, container or IntEnum after a first plain int fails the repr
     # check, and an int subclass with int's repr passes it
-    assert cli._format_payload(value, "json", []) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli._format_payload(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 text_fields = st.recursive(
@@ -153,7 +154,11 @@ def test_text_field_matches_item_by_item_writer(value):
 table_ints = st.integers(min_value=-(10**20), max_value=10**20)
 table_words = st.text(alphabet='ab,"\n\r %', max_size=4)  # the characters CSV quotes, and %
 table_values = st.one_of(
-    table_ints, table_words, st.lists(table_ints, max_size=3), st.lists(table_ints, max_size=3).map(tuple)
+    table_ints,
+    table_words,
+    st.booleans(),
+    st.lists(table_ints, max_size=3),
+    st.lists(table_ints, max_size=3).map(tuple),
 )
 
 
@@ -168,12 +173,13 @@ def tables(draw) -> tuple[list[str], list[tuple]]:
 @given(tables())
 @example((["a"], [("",), ([],), ([-7],), ((3, -4),)]))  # a lone empty CSV field is quoted
 @example((["b", "a"], [(-1, 'x,"y\n'), ([], "")]))
+@example((["a", "b"], [(True, 1), (False, [1]), (1, True)]))  # a bool's shape is not an int's or a list length's
 def test_table_row_writer_matches_the_dict_writers(table):
     columns, rows = table
     dicts = [dict(zip(columns, row)) for row in rows]
     written = cli._Rows(columns, rows)
-    as_json = cli._format_payload({"rows": written}, "json", [])
-    assert as_json == cli._format_payload({"rows": dicts}, "json", []) == json.dumps({"rows": dicts}, sort_keys=True, indent=2) + "\n"
-    assert written.write("text") == cli._format_payload(dicts, "text", dicts)
-    header = cli._record_to_csv([dict.fromkeys(columns, 0)]).partition("\n")[0] + "\n"
-    assert written.write("csv") == (cli._format_payload(dicts, "csv", dicts) if rows else header)
+    as_json = cli._format_payload({"rows": written}, "json")
+    assert as_json == cli._format_payload({"rows": dicts}, "json") == json.dumps({"rows": dicts}, sort_keys=True, indent=2) + "\n"
+    assert written.write("text") == "".join(map(cli._record_to_text, dicts))
+    for fmt in ("json", "text", "csv"):
+        assert written.write(fmt) == flat_rows(columns, rows, fmt)
