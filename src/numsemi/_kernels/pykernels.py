@@ -253,8 +253,11 @@ def _walk(
         coeffs[i] = 0
         return False
 
-    if not rec(len(gens) - 1, x):
-        return None
+    try:
+        if not rec(len(gens) - 1, x):
+            return None
+    finally:
+        rec = None  # rec holds itself through its cell: free it without the cyclic collector
     return coeffs if left >= 0 else False
 
 

@@ -25,10 +25,10 @@ coefficient DFS and an Apery table:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from numsemi import _kernels
+from numsemi._record import Record, set_field
 from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
@@ -51,28 +51,26 @@ def evaluate(vector: Sequence[int], gens: Sequence[int]) -> int:
     return sum(c * g for c, g in zip(vector, gens))
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(Record):
     """Least semigroup element in every residue class mod ``anchor``.
 
     ``by_residue[r]`` is the least element congruent to r; entry 0 is 0;
     the Frobenius number is ``max(by_residue) - anchor``.
     """
 
-    anchor: int
-    by_residue: tuple[int, ...]
+    __slots__ = ("anchor", "by_residue")
 
-    def __post_init__(self) -> None:
-        if self.anchor < 1:
-            raise ValueError(f"anchor must be >= 1, got {self.anchor}")
-        if len(self.by_residue) != self.anchor:
-            raise InvariantViolation(
-                f"Apery set must have exactly {self.anchor} elements, got {len(self.by_residue)}"
-            )
-        if self.by_residue[0] != 0:
+    def __init__(self, anchor: int, by_residue: tuple[int, ...]) -> None:
+        set_field(self, "anchor", anchor)
+        set_field(self, "by_residue", by_residue)
+        if anchor < 1:
+            raise ValueError(f"anchor must be >= 1, got {anchor}")
+        if len(by_residue) != anchor:
+            raise InvariantViolation(f"Apery set must have exactly {anchor} elements, got {len(by_residue)}")
+        if by_residue[0] != 0:
             raise InvariantViolation("Apery element for residue 0 must be 0")
-        for r, el in enumerate(self.by_residue):
-            if el % self.anchor != r or el < 0:
+        for r, el in enumerate(by_residue):
+            if el % anchor != r or el < 0:
                 raise InvariantViolation(
                     f"Apery element {el} is negative" if el < 0 else f"Apery element {el} filed under residue {r}"
                 )
@@ -90,8 +88,7 @@ class AperySet:
         return iter(self.by_residue)
 
 
-@dataclass(frozen=True)
-class RsPartition:
+class RsPartition(Record):
     """Factorizations of ``value`` grouped into shared-support components.
 
     Two factorizations land in one class iff they are joined by a chain of
@@ -99,8 +96,11 @@ class RsPartition:
     than one class marks ``value`` as a Betti element.
     """
 
-    value: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("value", "classes")
+
+    def __init__(self, value: int, classes: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        set_field(self, "value", value)
+        set_field(self, "classes", classes)
 
     def class_count(self) -> int:
         return len(self.classes)

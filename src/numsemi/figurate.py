@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
+from numsemi._record import Record, set_field
 from numsemi.arith import INT64_MAX, binomial, checked_int64, require_positive, tetrahedral, triangular
 from numsemi.core import AperySet
 from numsemi.errors import InvariantViolation
@@ -48,30 +48,39 @@ class TelescopicClass(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class CstarForm:
+class CstarForm(Record):
     """Closed-form c* constants together with the arrangement they refer to."""
 
-    arrangement: tuple[int, ...]
-    cstars: tuple[int, ...]
+    __slots__ = ("arrangement", "cstars")
+
+    def __init__(self, arrangement: tuple[int, ...], cstars: tuple[int, ...]) -> None:
+        set_field(self, "arrangement", arrangement)
+        set_field(self, "cstars", cstars)
 
 
-@dataclass(frozen=True)
-class PermutationOutcome:
-    permutation: tuple[int, ...]
-    failing_index: int | None  # None when the permutation is telescopic
+class PermutationOutcome(Record):
+    """One permutation of a swept generator tuple, with the position at
+    which its telescopic condition fails, or None when it is telescopic."""
+
+    __slots__ = ("permutation", "failing_index")
+
+    def __init__(self, permutation: tuple[int, ...], failing_index: int | None) -> None:
+        set_field(self, "permutation", permutation)
+        set_field(self, "failing_index", failing_index)
 
     @property
     def telescopic(self) -> bool:
         return self.failing_index is None
 
 
-@dataclass(frozen=True)
-class PermutationReport:
+class PermutationReport(Record):
     """Result of sweeping every permutation of a generator tuple."""
 
-    base: tuple[int, ...]
-    outcomes: tuple[PermutationOutcome, ...]
+    __slots__ = ("base", "outcomes")
+
+    def __init__(self, base: tuple[int, ...], outcomes: tuple[PermutationOutcome, ...]) -> None:
+        set_field(self, "base", base)
+        set_field(self, "outcomes", outcomes)
 
     @property
     def total(self) -> int:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
 from numsemi import _kernels
+from numsemi._record import Record, set_field
 from numsemi.arith import INT64_MAX, checked_int64, gcd_list, validated_generators
 from numsemi.core import (
     APERY_MATERIALIZE_LIMIT,
@@ -28,8 +28,7 @@ from numsemi.core import (
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
 
-@dataclass(frozen=True)
-class TelescopicCertificate:
+class TelescopicCertificate(Record):
     """Witness data for a telescopic sequence.
 
     ``d_chain[i]`` is the gcd of the first i+1 entries.  ``witnesses[i-2]``
@@ -37,9 +36,14 @@ class TelescopicCertificate:
     d_{i-1} (positions are 1-based, so the list covers i = 2..n).
     """
 
-    sequence: tuple[int, ...]
-    d_chain: tuple[int, ...]
-    witnesses: tuple[tuple[int, ...], ...]
+    __slots__ = ("sequence", "d_chain", "witnesses")
+
+    def __init__(
+        self, sequence: tuple[int, ...], d_chain: tuple[int, ...], witnesses: tuple[tuple[int, ...], ...]
+    ) -> None:
+        set_field(self, "sequence", sequence)
+        set_field(self, "d_chain", d_chain)
+        set_field(self, "witnesses", witnesses)
 
     def scaled_prefix(self, i: int) -> tuple[int, ...]:
         """The generators witness i-2 is expressed over: entries 1..i-1
@@ -52,67 +56,73 @@ class TelescopicCertificate:
         return self.sequence[i - 1] // self.d_chain[i - 1]
 
 
-@dataclass(frozen=True)
-class NotTelescopic:
+class NotTelescopic(Record):
     """First position at which the telescopic condition fails."""
 
-    sequence: tuple[int, ...]
-    failing_index: int
-    failing_value: int
+    __slots__ = ("sequence", "failing_index", "failing_value")
+
+    def __init__(self, sequence: tuple[int, ...], failing_index: int, failing_value: int) -> None:
+        set_field(self, "sequence", sequence)
+        set_field(self, "failing_index", failing_index)
+        set_field(self, "failing_value", failing_value)
 
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class FreeDecomposition:
+class FreeDecomposition(Record):
     """An arrangement certified free: n_1 equals the product of the c*."""
 
-    arrangement: tuple[int, ...]
-    cstars: tuple[int, ...]
-    reps: tuple[tuple[int, ...], ...]
+    __slots__ = ("arrangement", "cstars", "reps")
 
-    def __post_init__(self) -> None:
-        e = len(self.arrangement)
-        if len(self.cstars) != e - 1 or len(self.reps) != e - 1:
+    def __init__(
+        self, arrangement: tuple[int, ...], cstars: tuple[int, ...], reps: tuple[tuple[int, ...], ...]
+    ) -> None:
+        set_field(self, "arrangement", arrangement)
+        set_field(self, "cstars", cstars)
+        set_field(self, "reps", reps)
+        e = len(arrangement)
+        if len(cstars) != e - 1 or len(reps) != e - 1:
             raise InvariantViolation("free decomposition needs one c* and one witness per i >= 2")
-        if math.prod(self.cstars) != self.arrangement[0]:
-            raise InvariantViolation(
-                f"not free: n_1 = {self.arrangement[0]} but the c* product is {math.prod(self.cstars)}"
-            )
-        for i, (c, rep) in enumerate(zip(self.cstars, self.reps), start=2):
-            prefix = self.arrangement[: i - 1]
-            if len(rep) != len(prefix) or evaluate(rep, prefix) != c * self.arrangement[i - 1]:
+        if math.prod(cstars) != arrangement[0]:
+            raise InvariantViolation(f"not free: n_1 = {arrangement[0]} but the c* product is {math.prod(cstars)}")
+        for i, (c, rep) in enumerate(zip(cstars, reps), start=2):
+            prefix = arrangement[: i - 1]
+            if len(rep) != len(prefix) or evaluate(rep, prefix) != c * arrangement[i - 1]:
                 raise InvariantViolation(f"witness for position {i} does not evaluate to c*_{i} * n_{i}")
 
 
-@dataclass(frozen=True)
-class NotFree:
+class NotFree(Record):
     """Failed freeness product test, with the offending c* constants."""
 
-    arrangement: tuple[int, ...]
-    cstars: tuple[int, ...]
-    product: int
+    __slots__ = ("arrangement", "cstars", "product")
+
+    def __init__(self, arrangement: tuple[int, ...], cstars: tuple[int, ...], product: int) -> None:
+        set_field(self, "arrangement", arrangement)
+        set_field(self, "cstars", cstars)
+        set_field(self, "product", product)
 
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Relation pairs of factorization vectors over ``arrangement``.
 
     Every pair's two sides must evaluate to the same element; that value
     set is the Betti set for the free constructions emitted here.
     """
 
-    arrangement: tuple[int, ...]
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("arrangement", "relations")
 
-    def __post_init__(self) -> None:
-        for lhs, rhs in self.relations:
-            left = evaluate(lhs, self.arrangement)
-            right = evaluate(rhs, self.arrangement)
+    def __init__(
+        self, arrangement: tuple[int, ...], relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    ) -> None:
+        set_field(self, "arrangement", arrangement)
+        set_field(self, "relations", relations)
+        for lhs, rhs in relations:
+            left = evaluate(lhs, arrangement)
+            right = evaluate(rhs, arrangement)
             if left != right:
                 raise InvariantViolation(f"relation sides evaluate to {left} != {right}")
 

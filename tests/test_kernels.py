@@ -6,6 +6,7 @@ input-domain errors."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -172,6 +173,26 @@ def test_each_level_steps_through_one_coefficient_class_and_keeps_the_dfs_vector
     assert pykernels.factorizations_of(x, gens) == vectors
     assert pykernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
     assert pykernels.is_representable(x, gens) is bool(vectors)
+
+
+def test_the_dfs_leaves_no_garbage_for_the_cyclic_collector():
+    # the walk's recursive closure held itself through its cell, so every
+    # call left a cycle of about a hundred objects only gc could free
+    def stop(coeffs):
+        raise LookupError
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert pykernels.min_representation(1000, (7, 11, 13)) is not None
+        assert pykernels.is_representable(1000, (7, 11, 13)) is True
+        assert pykernels.is_representable(1000, (7, 11, 13), budget=2) is None
+        assert len(pykernels.factorizations_of(100, (3, 5, 7))) > 1
+        with pytest.raises(LookupError):
+            pykernels._walk(100, (3, 5, 7), stop)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_level_over_a_coprime_prefix_stops_after_one_failed_cycle():
