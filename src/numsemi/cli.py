@@ -355,12 +355,13 @@ def _closed_forms(kind: str) -> SimpleNamespace:
     )
 
 
-def _refuse_options(args: argparse.Namespace, command: str, *dests: str) -> None:
-    """Refuse, before any output, an option that the family of ``args``
-    would ignore."""
+def _refuse_options(args: argparse.Namespace, context: str, *dests: str) -> None:
+    """Refuse, before any output, an option that ``context`` would ignore:
+    one given a value, or a flag that is set."""
     for dest in dests:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"--{dest} does not apply to {command} --family {args.family}")
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise ValueError(f"--{dest} does not apply to {context}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +466,15 @@ def _box_summary(arrangement: tuple[int, ...], cstars: tuple[int, ...], full: bo
     """``_apery_summary`` of the c* box ``telescopic.box_levels(arrangement,
     cstars)``, which makes the box's checks here, before any output.  The
     size is the anchor and the maximum is top = sum (c*_j - 1) n_j.  With
-    ``full`` the elements are the box's levels, written whole by the JSON
-    and text writers.  Short of that, only the three smallest elements are
-    drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes the
-    box onto top - box, so the three largest are top minus those,
+    ``full``, or at most 6 of them, the elements are the box's levels,
+    written whole by the JSON and text writers.  Else the three smallest
+    are drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes
+    the box onto top - box, so the three largest are top minus those,
     reversed."""
     anchor = arrangement[0]
-    if anchor <= 6 and not full:
-        return _apery_summary(anchor, list(telescopic.box_elements(arrangement, cstars)), False)
     top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
     summary: dict = {"anchor": anchor, "size": anchor, "max": top, "frobenius_from_apery": top - anchor}
-    if full:
+    if full or anchor <= 6:
         summary["elements"] = _BoxLevels(telescopic.box_levels(arrangement, cstars))
     else:
         smallest = list(islice(telescopic.box_elements(arrangement, cstars), 3))
@@ -580,6 +579,8 @@ def _analyze_family(kind: str, n: int, args: argparse.Namespace) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        _refuse_options(args, "analyze --format csv", "full")
     if args.gens is not None:
         record = _analyze_generic(_parse_gens(args.gens), args)
     else:
@@ -696,7 +697,7 @@ _VERIFY_CHECKS: dict[str, Callable[[int], str | None]] = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.family == "choose5perms":
-        _refuse_options(args, "verify", "range")
+        _refuse_options(args, "verify --family choose5perms", "range")
         report = figurate.choose5_counterexample()
         ok = report.telescopic_count == 0
         record = {
@@ -771,7 +772,7 @@ def _choose4_row(n: int) -> tuple:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "arith":
-        _refuse_options(args, "table", "range")
+        _refuse_options(args, "table --family arith", "range")
         if args.n is None or args.k is None:
             raise ValueError("table --family arith needs --n N and --k a..b")
         klo, khi = _parse_range(args.k)
@@ -781,7 +782,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             for k in range(klo, khi + 1)
         ]
     else:
-        _refuse_options(args, "table", "n", "k")
+        _refuse_options(args, f"table --family {args.family}", "n", "k")
         if args.range is None:
             raise ValueError("--range a..b is required for this family")
         lo, hi = _parse_range(args.range)
@@ -804,6 +805,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_perms(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        _refuse_options(args, "perms --format csv", "full")
     report = figurate.choose5_counterexample()
     record: dict = {
         "schema": SCHEMA_VERSION,

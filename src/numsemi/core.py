@@ -6,7 +6,7 @@ shared-support class analysis.  All routines are exact and deterministic
 (sorted generators, one canonical vector enumeration order) so outputs
 are byte-stable across runs.
 
-Three places decide how membership is answered, each between the
+Two places decide how membership is answered, each between the
 coefficient DFS and an Apery table:
 
 - ``NumericalSemigroup.contains`` reads the table of the smallest
@@ -15,8 +15,9 @@ coefficient DFS and an Apery table:
   held in the coset form of ``_kernels.apery_cosets``, from which
   membership, the Frobenius number and the genus are read; it is filled
   out only where every cell is needed (``apery``, ``betti_elements``).
-- ``_minimalize`` runs the DFS on a budget of the cells of the table of
-  the kept generators, and builds that table when the DFS gives up.
+  Construction asks it too where the budgeted DFS for an entry gives
+  up, or, where that table would pass the limit or 64 bits, the
+  semigroup of the kept entries over their gcd.
 - ``telescopic.cstar_constants`` asks the DFS for a c* witness on the
   same kind of budget; ``telescopic._least_multiple`` then asks the
   prefix semigroup, or the table mod the target when the prefix table is
@@ -112,9 +113,11 @@ class NumericalSemigroup:
     Construction reduces any coprime generator list to the unique minimal
     system, sorted ascending.  Immutable apart from two caches populated
     at most once, both of the Apery table of n_1: its coset form
-    (``_kernels.apery_cosets``), from which membership, the Frobenius
-    number and the genus are read, and the whole table, filled from it
-    on first use by ``apery`` or ``betti_elements``.
+    (``_kernels.apery_cosets``, built over the entries construction
+    scanned, so its last arc may be a redundant entry), from which
+    membership, the Frobenius number and the genus are read, and the
+    whole table, filled from it on first use by ``apery`` or
+    ``betti_elements``.
     Racing writers recompute identical values, so concurrent readers are
     safe.
     """
@@ -126,9 +129,45 @@ class NumericalSemigroup:
         d = gcd_list(seq)
         if d != 1:
             raise NotCoprimeError(d)
-        self.generators = _minimalize(seq)
+        # A least entry of a table of n_1 lies below n_1 times the largest
+        # generator, so an entry g >= n_1 max(entries < g) that the gcd of
+        # those entries divides is redundant, and left out at once.  The
+        # rest generate S, so the table of n_1 that ``contains`` builds over
+        # them stays the semigroup's.  An entry g is dropped when the DFS,
+        # on a budget of len(kept) n_1 nodes (the table's cost), finds it
+        # over the smaller kept ones, or once the DFS gives up, when g - x
+        # is in S for some kept x < g.  Where that table is past the
+        # desk-scale limit or 64 bits, g / d is asked of <kept / d>,
+        # d = gcd(kept), or, where its table is too, the DFS runs to the end.
+        gens: list[int] = []
+        for g in sorted(set(seq)):
+            if not (gens and g >= gens[0] * gens[-1] and g % gcd_list(gens) == 0):
+                gens.append(g)
+        self.generators = tuple(gens)
         self._cosets: tuple[list[int], int, int] | None = None
         self._apery_table: list[int] | None = None
+        m = gens[0]
+        tabled = m <= APERY_MATERIALIZE_LIMIT
+        below: NumericalSemigroup | None = None  # <kept / d>, for the current kept
+        kept: list[int] = []
+        for g in gens:
+            found = bool(kept) and _kernels.is_representable(g, kept, len(kept) * m)
+            if found is None and tabled:
+                try:
+                    found = any(self.contains(g - x) for x in kept)
+                except OverflowError:
+                    tabled = False
+            if found is None:
+                d = gcd_list(kept)
+                if m // d > APERY_MATERIALIZE_LIMIT or m * kept[-1] > INT64_MAX:
+                    found = _kernels.is_representable(g, kept)
+                else:
+                    below = below or NumericalSemigroup([k // d for k in kept])
+                    found = g % d == 0 and below.contains(g // d)
+            if not found:
+                kept.append(g)
+                below = None
+        self.generators = tuple(kept)
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup(⟨{', '.join(map(str, self.generators))}⟩)"
@@ -210,7 +249,8 @@ class NumericalSemigroup:
         """Number of gaps, by Selmer's formula on the table of n_1:
         the sum of Ap(S, n_1) is n_1 g + n_1 (n_1 - 1) / 2.  In coset form
         each base cell b stands for b, b + l, ..., b + (d - 1) l, l the
-        last generator, so the table sums to d sum(base) + n_1 l (d - 1) / 2."""
+        last arc of the coset form (the largest entry the table was built
+        over), so the table sums to d sum(base) + n_1 l (d - 1) / 2."""
         m = self.generators[0]
         base, d, last = self._apery_cosets()
         total = d * sum(base) + m * last * (d - 1) // 2
@@ -379,34 +419,6 @@ def _betti_loop(gens: tuple[int, ...], table: list[int], top: int) -> set[int]:
         else:
             out.add(s)
     return out
-
-
-def _minimalize(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduce to the minimal generating set: drop entries representable
-    over the smaller kept ones (ascending scan is sufficient because any
-    representation of g only uses entries <= g).
-
-    Each test is a DFS on a budget of len(kept) n_1 nodes, the cost of the
-    table that answers once it gives up: with d = gcd(kept), g is redundant
-    iff d | g and g / d >= the least element of <kept / d> in its class mod
-    n_1 / d.  Past the desk-scale limit, or with entries (< n_1 max(kept))
-    past 64 bits, the DFS runs to the end instead."""
-    kept: list[int] = []
-    table: list[int] | None = None  # the table of <kept / d>, for the current kept
-    for g in sorted(set(seq)):
-        found = bool(kept) and _kernels.is_representable(g, kept, len(kept) * kept[0])
-        if found is None:
-            d = gcd_list(kept)
-            if kept[0] // d > APERY_MATERIALIZE_LIMIT or kept[0] * kept[-1] > INT64_MAX:
-                found = _kernels.is_representable(g, kept)
-            else:
-                if table is None:
-                    table = _kernels.apery_levels(kept[0] // d, [k // d for k in kept])
-                found = g % d == 0 and g // d >= table[g // d % len(table)]
-        if not found:
-            kept.append(g)
-            table = None
-    return tuple(kept)
 
 
 def minimal_generators(entries: Sequence[int]) -> NumericalSemigroup:

@@ -21,7 +21,6 @@ from numsemi.core import (
     APERY_MATERIALIZE_LIMIT,
     AperySet,
     NumericalSemigroup,
-    _minimalize,
     evaluate,
     require_desk_scale,
 )
@@ -222,7 +221,7 @@ def cstar_constants(
     if _semigroup is None or tuple(sorted(entries)) != _semigroup.generators:
         if len(set(entries)) != len(entries):
             raise ValueError("arrangement is not a minimal generating set (repeated entry)")
-        minimal = _minimalize(entries)
+        minimal = NumericalSemigroup(entries).generators
         for g in entries:
             if g not in minimal:
                 raise ValueError(f"arrangement is not a minimal generating set ({g} is redundant)")

@@ -252,6 +252,16 @@ def dfs_representations(x: int, gens: Sequence[int], first: bool = False) -> lis
     return out
 
 
+def dfs_minimal_generators(entries: Sequence[int]) -> tuple[int, ...]:
+    """The minimal generators by the ascending scan with no table: an entry
+    stays unless the unpruned DFS finds it over the smaller kept ones."""
+    kept: list[int] = []
+    for g in sorted(set(entries)):
+        if not (kept and dfs_representations(g, kept, first=True)):
+            kept.append(g)
+    return tuple(kept)
+
+
 def scalar_field(value: object) -> str:
     """A text or CSV field as the CLI writes it: a list or tuple item by
     item as ``[a, b]``, a bool as ``true``/``false``, anything else by

@@ -260,6 +260,8 @@ def test_verify_requires_range(capsys):
     "argv, refused",
     [
         (("table", "--family", "triangular", "--range", "1..3", "--n", "6"), "--n does not apply to table --family triangular"),
+        # a value equal to False is still a value
+        (("table", "--family", "triangular", "--range", "1..3", "--n", "0"), "--n does not apply to table --family triangular"),
         (("table", "--family", "tetrahedral", "--range", "1..3", "--k", "2..3"), "--k does not apply to table --family tetrahedral"),
         (("table", "--family", "choose4", "--n", "6", "--k", "2..3", "--range", "1..3"), "--n does not apply to table --family choose4"),
         (("table", "--family", "arith", "--n", "6", "--k", "2..3", "--range", "1..3"), "--range does not apply to table --family arith"),
@@ -276,6 +278,35 @@ def test_an_option_the_family_ignores_is_refused(capsys, tmp_path, argv, refused
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (2, "", f"error: {refused}\n")
             assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--gens", "6,10,15"),
+        ("analyze", "--triangular", "9"),
+        ("analyze", "--tetrahedral", "11"),
+        ("perms",),
+    ],
+)
+def test_full_is_refused_where_csv_would_ignore_it(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args):
+        raise AssertionError("work before the refusal")
+
+    for owner, name in ((core, "NumericalSemigroup"), (figurate, "choose5_counterexample")):
+        monkeypatch.setattr(owner, name, refuse)
+    target = tmp_path / "out.csv"
+    for out in ((), ("--out", str(target))):
+        code = cli.main([*argv, "--full", "--format", "csv", *out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --full does not apply to {argv[0]} --format csv\n"
+        assert not target.exists()
+    monkeypatch.undo()
+    # the same command without --full, or in another format, still runs
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert cli.main([*argv, "--full", "--format", "json"]) == 0
+    capsys.readouterr()
 
 
 def _count_tables(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
@@ -458,15 +489,18 @@ def test_is_free_does_not_minimalize_a_built_semigroup(monkeypatch):
     S = core.NumericalSemigroup((57, 105, 117, 70))
     arrangements = (S.generators, S.generators[::-1])
     expected = [telescopic.is_free(arr) for arr in arrangements]
+    built = []
 
-    def refuse(entries):
-        raise AssertionError(f"{entries} minimalized again")
+    def counted(entries):
+        built.append(tuple(sorted(entries)))
+        return core.NumericalSemigroup(entries)
 
-    monkeypatch.setattr(telescopic, "_minimalize", refuse)
+    monkeypatch.setattr(telescopic, "NumericalSemigroup", counted)
     for arr, verdict in zip(arrangements, expected):
         assert telescopic.is_free(arr, _semigroup=S) == verdict
-    with pytest.raises(AssertionError, match="minimalized again"):
-        telescopic.is_free(S.generators)
+    assert S.generators not in built
+    telescopic.is_free(S.generators)
+    assert S.generators in built
 
 
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
@@ -743,13 +777,24 @@ def test_a_redundant_entry_over_a_coprime_pair_answers_at_once():
 
 
 def test_reduction_minimalizes_each_level_once(capsys, monkeypatch):
-    # the table mod 10000 over the first four: one for the reduction's
-    # semigroup, whose Apery fallback reads it, one for the oracle's own
+    # the DFS gives up on 33329999, and each semigroup reads its own table
+    # mod 10000 over all five: one for the reduction's, whose Apery
+    # fallback reads it, one for the oracle's own
     seen = _count_tables(monkeypatch)
     code, out = run(capsys, "frobenius", "--gens", "10000,10001,10002,10003,33329999", "--cross-check")
     assert code == 0 and "agreement: true" in out
-    assert seen.count((10000, (10000, 10001, 10002, 10003))) == 2
+    assert seen.count((10000, (10000, 10001, 10002, 10003))) == 0
     assert seen.count((10000, (10000, 10001, 10002, 10003, 33329999))) == 2
+    assert len(seen) == 2
+
+
+def test_analyze_builds_no_table_twice(capsys, monkeypatch):
+    # the DFS gives up on 332999 over the first five: the semigroup's table
+    # mod 2000 answers, and the c* walk's prefix tables are all different
+    seen = _count_tables(monkeypatch)
+    code, _ = run(capsys, "analyze", "--gens", "4001,2000,2002,2004,2006,332999")
+    assert code == 0
+    assert len(seen) == len(set(seen)) == 5, seen
 
 
 def test_table_csv(capsys):

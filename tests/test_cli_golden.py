@@ -2,7 +2,11 @@
 fixed set of small argvs, compared against ``tests/cli_golden.json``.
 
 The argvs cover every subcommand in text, json and csv, plus exit-2
-refusals and exit-3 overflows.  A refactor that must not change the CLI
+refusals and exit-3 overflows.  Where argparse rejects an argv, the
+usage block it writes wraps differently from one Python to the next:
+the file pins the final ``error:`` line instead of the stderr digest,
+and the block must be the usage that this Python's argparse formats for
+``cli.build_parser()``.  A refactor that must not change the CLI
 keeps this file passing unchanged.  A deliberate output change
 regenerates the file, and the change is recorded in CHANGES.md:
 
@@ -11,6 +15,7 @@ regenerates the file, and the change is recorded in CHANGES.md:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -123,12 +128,59 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def observe(argv: tuple[str, ...]) -> dict:
-    """Exit code and output digests of one in-process ``cli.main`` call."""
+def _run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"exit": code, "stdout_sha256": _sha256(out.getvalue()), "stderr_sha256": _sha256(err.getvalue())}
+    return code, out.getvalue(), err.getvalue()
+
+
+def observe(argv: tuple[str, ...]) -> dict:
+    """Exit code and output digests of one in-process ``cli.main`` call."""
+    code, out, err = _run(argv)
+    return {"exit": code, "stdout_sha256": _sha256(out), "stderr_sha256": _sha256(err)}
+
+
+def _usage(command: str) -> str:
+    """The usage block this Python's argparse writes for ``command``."""
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command].format_usage()
+
+
+def pinned(argv: tuple[str, ...]) -> dict:
+    """The record ``cli_golden.json`` pins for ``argv``: ``observe``'s,
+    but where argparse rejects the argv, its final ``error:`` line in
+    place of the stderr digest, once the usage block above it is checked
+    against ``_usage``."""
+    code, out, err = _run(argv)
+    record = {"exit": code, "stdout_sha256": _sha256(out)}
+    if err.startswith("usage: "):
+        block, error = err[:-1].rsplit("\n", 1)
+        assert block + "\n" == _usage(argv[0]), err
+        record["stderr_error"] = error
+    else:
+        record["stderr_sha256"] = _sha256(err)
+    return record
+
+
+def _choices_quoted() -> bool:
+    """Whether this Python's argparse quotes the choices it lists in an
+    ``invalid choice`` error: some releases write ``'a', 'b'``, later ones
+    ``a, b``."""
+    probe = argparse.ArgumentParser(prog="probe", add_help=False)
+    probe.add_argument("--x", choices=("a",))
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit):
+        probe.parse_args(["--x", "b"])
+    return "(choose from 'a')" in err.getvalue()
+
+
+def _as_written_here(error: str) -> str:
+    """A pinned ``error:`` line as this Python's argparse writes it: its
+    list of choices unquoted where ``_choices_quoted`` says so."""
+    head, sep, choices = error.rpartition("(choose from ")
+    return error if _choices_quoted() or not sep else head + sep + choices.replace("'", "")
 
 
 def _load() -> dict[str, dict]:
@@ -141,12 +193,16 @@ def test_golden_covers_exactly_the_argvs():
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_cli_output_is_byte_identical(argv):
-    expected = _load()[" ".join(argv)]
-    assert observe(argv) == {k: expected[k] for k in ("exit", "stdout_sha256", "stderr_sha256")}
+    expected = {k: v for k, v in _load()[" ".join(argv)].items() if k != "argv"}
+    if "stderr_error" in expected:
+        expected["stderr_error"] = _as_written_here(expected["stderr_error"])
+    assert pinned(argv) == expected
 
 
 def write() -> None:
-    records = [{"argv": list(argv), **observe(argv)} for argv in ARGVS]
+    if not _choices_quoted():
+        raise SystemExit("write the file on a Python whose argparse quotes the choices it lists")
+    records = [{"argv": list(argv), **pinned(argv)} for argv in ARGVS]
     GOLDEN.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 

@@ -21,6 +21,7 @@ from numsemi.core import (
 from numsemi.errors import InvariantViolation, NotCoprimeError
 
 from oracles import (
+    dfs_minimal_generators,
     factorization_table,
     naive_apery,
     naive_betti,
@@ -40,22 +41,102 @@ def test_minimal_generators_order_independent():
     assert minimal_generators((10, 3, 6)).generators == (3, 10)
 
 
-def test_minimalize_takes_the_table_where_the_dfs_gives_up():
+def _record_cosets(patch) -> list[tuple[int, tuple[int, ...], tuple[list[int], int, int] | None]]:
+    """Record (m, gens, coset form) for every n_1 table built, the form
+    None where the kernel raised."""
+    tables = []
+    apery_cosets = _kernels.apery_cosets
+
+    def recorded(m, gens):
+        tables.append((m, tuple(gens), None))
+        form = apery_cosets(m, gens)
+        tables[-1] = (m, tuple(gens), form)
+        return form
+
+    patch.setattr(_kernels, "apery_cosets", recorded)
+    return tables
+
+
+def test_minimalize_takes_the_table_where_the_dfs_gives_up(monkeypatch):
     # 33329999 over <10000, ..., 10003>: the DFS tries about 3333**3
-    # vectors, the table mod 10000 answers at once
+    # vectors, the semigroup's own table mod 10000 answers at once
+    tables = _record_cosets(monkeypatch)
     start = time.perf_counter()
     entries = (10000, 10001, 10002, 10003, 33329999)
-    assert minimal_generators(entries).generators == entries
-    assert minimal_generators(entries).frobenius() == 33329998
+    S = minimal_generators(entries)
+    assert S.generators == entries
+    assert S.frobenius() == 33329998
     assert time.perf_counter() - start < 5
+    assert len(tables) == 1 and tables[0][2] is S._cosets
     # 2 * (2**62 + 1) leaves 64 bits: no table, and one DFS node answers
-    assert core._minimalize((2, 2**62 + 1)) == (2, 2**62 + 1)
+    assert minimal_generators((2, 2**62 + 1)).generators == (2, 2**62 + 1)
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (100, 101, 102, 103, 3299, 2**63 - 1),
+        (100000, 100001, 100002, 100003, 3333299999, 2**63 - 1),
+    ],
+)
+def test_minimalize_leaves_out_an_entry_the_table_bound_proves_redundant(monkeypatch, entries):
+    # 2**63 - 1 >= n_1 times the entry below it: redundant with no test,
+    # and kept out of the one table, whose entries plus it would leave 64
+    # bits.  The budgeted DFS gives up on the entry below it, F(<n_1, ...,
+    # n_1 + 3>), and that table answers.
+    tables = _record_cosets(monkeypatch)
+    start = time.perf_counter()
+    S = NumericalSemigroup(entries)
+    assert S.generators == entries[:-1]
+    assert [(m, gens) for m, gens, _ in tables] == [(entries[0], entries[:-1])]
+    assert tables[0][2] is S._cosets
+    assert time.perf_counter() - start < 5
+    if entries[0] == 100:
+        assert S.frobenius() == naive_frobenius(S.generators) == 3298
+        assert S.genus() == naive_genus(S.generators)
+
+
+@pytest.mark.parametrize("n1", [10000, 100000])
+def test_minimalize_asks_the_kept_entries_where_the_table_leaves_64_bits(monkeypatch, n1):
+    # 2 F(<n1 / 2, ..., n1 / 2 + 3>) over the even entries: the budgeted DFS
+    # gives up, and the table over every entry raises, since 2**62 + 1 is
+    # odd (so a minimal generator) and the top of its coset plus it leave
+    # 64 bits.  The table of <n1 / 2, ..., n1 / 2 + 3> answers instead.
+    half = n1 // 2
+    deep = 2 * ((half + 1) // 3 * half - 1)
+    entries = (n1, n1 + 2, n1 + 4, n1 + 6, deep, 2**62 + 1)
+    tables = _record_cosets(monkeypatch)
+    start = time.perf_counter()
+    assert NumericalSemigroup(entries).generators == entries
+    assert [(m, gens, form is None) for m, gens, form in tables] == [
+        (n1, entries, True),
+        (half, (half, half + 1, half + 2, half + 3), False),
+    ]
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "entries, minimal",
+    [
+        ((10000, 10001, 10002, 10003, 33329999, 2**62 + 1), (10000, 10001, 10002, 10003, 33329999)),
+        ((10000, 10002, 10004, 10006, 66659998, 2**62 + 1), (10000, 10002, 10004, 10006, 2**62 + 1)),
+        ((10000, 10001, 10002, 10003, 33329999, 2**62 + 33329999), (10000, 10001, 10002, 10003, 33329999)),
+        ((10000, 10002, 10004, 10006, 16669998, 2**62 + 1), (10000, 10002, 10004, 10006, 16669998, 2**62 + 1)),
+        ((100000, 100001, 100002, 100003, 3333299999, 2**62 + 1), (100000, 100001, 100002, 100003, 3333299999)),
+    ],
+)
+def test_minimal_generators_beside_an_entry_near_2_62(entries, minimal):
+    # a deep DFS beside an entry whose products with n_1 leave 64 bits
+    start = time.perf_counter()
+    assert NumericalSemigroup(entries).generators == minimal
+    assert time.perf_counter() - start < 5
 
 
 @st.composite
 def shared_factor_lists(draw):
-    """Lists whose smaller entries share a factor d, so the kept prefix
-    of ``_minimalize`` is not coprime until a larger entry joins it."""
+    """Lists whose smaller entries share a factor d, so the smaller kept
+    entries are not coprime until a larger entry joins them."""
     d = draw(st.integers(min_value=2, max_value=6))
     small = draw(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
     rest = draw(st.lists(st.integers(min_value=2, max_value=200), max_size=3))
@@ -67,23 +148,23 @@ def shared_factor_lists(draw):
 @example([6, 10, 15])
 @example([6, 10, 15, 16, 25, 30])
 def test_minimalize_from_the_table_matches_the_dfs(entries):
-    expected = core._minimalize(entries)
-    is_representable, apery_levels = _kernels.is_representable, _kernels.apery_levels
-    tables = []
+    assume(math.gcd(*entries) == 1)
+    is_representable = _kernels.is_representable
 
     def give_up(x, gens, budget=None):
         return None if budget is not None else is_representable(x, gens)
 
-    def counted(m, gens):
-        tables.append(m)
-        return apery_levels(m, gens)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "is_representable", give_up)
-        patch.setattr(_kernels, "apery_levels", counted)
-        assert core._minimalize(entries) == expected
-    # one table per kept list that a larger entry was tested against
-    assert len(tables) == len(expected) - (max(entries) in expected)
+        tables = _record_cosets(patch)
+        S = NumericalSemigroup(entries)
+        assert S.generators == dfs_minimal_generators(entries)
+        S.frobenius()
+    # every give-up asks the one table of n_1, over the minimal generators
+    # and the entries the table's bound leaves in, which stays the
+    # semigroup's
+    assert [(m, form is S._cosets) for m, _, form in tables] == [(S.generators[0], True)]
+    assert set(S.generators) <= set(tables[0][1]) <= set(entries)
 
 
 def test_minimal_generators_gcd_error():
