@@ -23,12 +23,16 @@ residue class leaves a remainder that the generators below can divide.
 So a level over generators with a large gcd costs no more than its
 vectors.  A level stops once one cycle of class steps, at most the least
 generator below it, has found no vector: past that, no step can.
+
+``BACKEND`` names the kernel implementation; it is always ``"python"``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+
+BACKEND = "python"
 
 _INT64_MAX = 2**63 - 1
 

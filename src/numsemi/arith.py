@@ -9,7 +9,7 @@ instead of silently leaving the supported width.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)

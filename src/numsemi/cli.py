@@ -18,15 +18,15 @@ import heapq
 import io
 import json
 import sys
+from collections.abc import Callable, Iterator, Sequence
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mod, sub
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
 
 from numsemi import core, figurate, telescopic
 from numsemi.arith import checked_int64
-from numsemi.errors import InvariantViolation, NotCoprimeError
+from numsemi.errors import InvariantViolation
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -81,24 +81,15 @@ def _emit(payload: str, out_path: str | None) -> None:
         fh.write(payload)
 
 
-def _record_to_text(record: dict) -> str:
+def _text_lines(mapping: dict, prefix: str) -> list[str]:
     """One ``key: value`` line per field, a nested dict's keys prefixed
     with its own key and a dot."""
-    return "".join(_text_lines(record, "")) or "\n"
-
-
-def _text_lines(mapping: dict, prefix: str) -> list[str]:
     lines = []
     for key, value in mapping.items():
-        kind = type(value)
-        if kind is int or kind is str:
-            lines.append(f"{prefix}{key}: {value}\n")
-        elif kind is list:
-            lines.append(f"{prefix}{key}: {_int_list_repr(value) or _scalar(value)}\n")
-        elif kind is _BoxLevels:
-            lines.append(f"{prefix}{key}: [{value.write(b', ')}]\n")
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             lines += _text_lines(value, f"{prefix}{key}.")
+        elif type(value) is _BoxLevels:
+            lines.append(f"{prefix}{key}: [{value.write(b', ')}]\n")
         else:
             lines.append(f"{prefix}{key}: {_scalar(value)}\n")
     return lines
@@ -279,34 +270,22 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
     once, so no nesting level copies its children's text.  With ``indent``
     set, ``json.dumps`` runs its pure-Python encoder, one generator step per
     list element; here a list that passes ``_int_list_repr``, such as a full
-    generic Apery set, is one ``repr`` with its separators replaced, and a
-    full c* box is written by its levels (``_BoxLevels``) and table rows
-    by their templates (``_Rows``).  A dict writes its int, str and bool
-    values, such lists, boxes and rows itself, not by a call each."""
-    if isinstance(value, dict):
+    generic Apery set, is one ``repr`` with its separators replaced, a full
+    c* box is written by its levels (``_BoxLevels``), and table rows by
+    their templates (``_Rows``).  Each kind of value has one branch, and a
+    dict writes its values through the same branches."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
         inner = pad + "  "
         lead = "{\n" + inner
-        # the brackets of a list value, and the separator of its items
-        start, sep, end = "[\n  " + inner, ",\n  " + inner, "\n" + inner + "]"
         for key in sorted(value):
-            item = value[key]
-            kind = type(item)
-            head = lead + encode_basestring_ascii(key) + ": "
-            if kind is int:
-                parts.append(head + int.__repr__(item))
-            elif kind is str:
-                parts.append(head + encode_basestring_ascii(item))
-            elif kind is bool:
-                parts.append(head + ("true" if item else "false"))
-            elif kind is list and (text := _int_list_repr(item)):
-                parts += (head, start, text[1:-1].replace(", ", sep), end)
-            elif kind is _BoxLevels:
-                parts += (head, start, item.write(sep.encode()), end)
-            elif kind is _Rows:
-                parts += (head, item.write("json", inner))
-            else:
-                parts.append(head)
-                _json(item, parts, inner)
+            parts.append(lead + encode_basestring_ascii(key) + ": ")
+            _json(value[key], parts, inner)
             lead = ",\n" + inner
         parts.append("\n" + pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
@@ -322,27 +301,26 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
                 _json(item, parts, inner)
                 lead = sep
         parts.append("\n" + pad + "]" if value else "[]")
-    elif isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    else:
+    elif isinstance(value, _BoxLevels):
+        inner = pad + "  "
+        parts += ("[\n" + inner, value.write((",\n" + inner).encode()), "\n" + pad + "]")
+    elif isinstance(value, _Rows):
+        parts.append(value.write("json", pad))
+    else:  # None and floats
         parts.append(json.dumps(value))
 
 
-def _format_payload(record: dict | list, fmt: str) -> str:
-    """``record`` (or ``verify``'s list of records) as JSON, or a record as
-    text.  A command writes its CSV rows through ``_Rows``."""
+def _format_payload(record: dict | _Rows, fmt: str) -> str:
+    """``record`` as JSON, or as text, one ``key: value`` line per field;
+    rows (``verify``'s records) in any format."""
     if fmt == "json":
         parts: list[str] = []
         _json(record, parts)
         parts.append("\n")
         return "".join(parts)
-    return _record_to_text(record)
+    if type(record) is _Rows:
+        return record.write(fmt)
+    return "".join(_text_lines(record, "")) or "\n"
 
 
 def _closed_forms(kind: str) -> SimpleNamespace:
@@ -700,18 +678,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _refuse_options(args, "verify --family choose5perms", "range")
         report = figurate.choose5_counterexample()
         ok = report.telescopic_count == 0
-        record = {
-            "schema": SCHEMA_VERSION,
-            "family": "choose5perms",
-            "total": report.total,
-            "telescopic": report.telescopic_count,
-            "pass": ok,
-        }
-        if args.format == "csv":
-            payload = _Rows(tuple(record), [tuple(record.values())]).write("csv")
-        else:
-            payload = _format_payload([record] if args.format == "json" else record, args.format)
-        _emit(payload, args.out)
+        row = (SCHEMA_VERSION, "choose5perms", report.total, report.telescopic_count, ok)
+        _emit(_format_payload(_Rows(("schema", "family", "total", "telescopic", "pass"), [row]), args.format), args.out)
         if not ok:
             print("counterexample: some permutation is telescopic", file=sys.stderr)
             return EXIT_COUNTEREXAMPLE
@@ -721,28 +689,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--range a..b is required for this family")
     lo, hi = _parse_range(args.range)
     check = _VERIFY_CHECKS[args.family]
-    records = []
-    first_failure: tuple[int, str] | None = None
+    rows = []
     for n in range(lo, hi + 1):
         detail = check(n)
-        ok = detail is None
-        records.append(
-            {"schema": SCHEMA_VERSION, "family": args.family, "n": n, "pass": ok, "detail": detail or ""}
-        )
-        if not ok and first_failure is None:
-            first_failure = (n, detail)
+        rows.append((SCHEMA_VERSION, args.family, n, detail is None, detail or ""))
+    failures = [(n, detail) for _, _, n, ok, detail in rows if not ok]
     if args.format == "text":
-        lines = [f"n={r['n']} {'pass' if r['pass'] else 'FAIL ' + r['detail']}" for r in records]
-        total_ok = sum(1 for r in records if r["pass"])
-        lines.append(f"{total_ok}/{len(records)} pass")
+        lines = [f"n={n} {'pass' if ok else 'FAIL ' + detail}" for _, _, n, ok, detail in rows]
+        lines.append(f"{len(rows) - len(failures)}/{len(rows)} pass")
         payload = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        payload = _Rows(tuple(records[0]), [tuple(r.values()) for r in records]).write("csv")
     else:
-        payload = _format_payload(records, "json")
+        payload = _format_payload(_Rows(("schema", "family", "n", "pass", "detail"), rows), args.format)
     _emit(payload, args.out)
-    if first_failure is not None:
-        print(f"first counterexample: n={first_failure[0]}: {first_failure[1]}", file=sys.stderr)
+    if failures:
+        print(f"first counterexample: n={failures[0][0]}: {failures[0][1]}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 
@@ -976,16 +936,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except NotCoprimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except OverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    except ValueError as exc:
+    except ValueError as exc:  # NotCoprimeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:

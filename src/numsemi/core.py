@@ -26,7 +26,7 @@ coefficient DFS and an Apery table:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi._record import Record, set_field

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Iterator, Sequence
 
 from numsemi import _kernels
 from numsemi._record import Record, set_field

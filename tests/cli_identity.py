@@ -13,8 +13,12 @@ largest ``--full`` reports the benchmark makes (triangular 800, tetrahedral
 and csv, and the json ``verify`` sweeps tetrahedral 4..120 and triangular
 3..400; 764 argvs), followed by ``ARGVS`` from ``tests/test_cli_golden.py``.
 One line per argv, in a fixed order, so two checkouts that must not differ
-in CLI output compare with one ``diff`` of their dumps.  Not a ``test_*``
-file: pytest does not collect it.
+in CLI output compare with one ``diff`` of their dumps.  Where argparse
+rejects an argv, the line holds its ``error:`` line, with any list of
+choices unquoted, in place of the stderr digest (as ``cli_golden.json``
+pins it): the usage block above it wraps differently from one Python to
+the next, so dumps from Python 3.10 to 3.13 compare too.  Not a
+``test_*`` file: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
-from test_cli_golden import ARGVS, observe  # noqa: E402
+from test_cli_golden import ARGVS, pinned  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SECONDS = 20
@@ -67,13 +71,21 @@ def argvs(seed: int) -> list[tuple[str, ...]]:
     return out + family_sweep() + list(ARGVS)
 
 
+def _unquoted(error: str) -> str:
+    """An argparse ``error:`` line with its list of choices unquoted, as
+    some Python releases write it and others do not."""
+    head, sep, choices = error.rpartition("(choose from ")
+    return head + sep + choices.replace("'", "")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
     for argv in argvs(args.seed):
-        rec = observe(argv)
-        print(rec["exit"], rec["stdout_sha256"], rec["stderr_sha256"], " ".join(argv), flush=True)
+        rec = pinned(argv)
+        err = rec.get("stderr_sha256") or _unquoted(rec["stderr_error"])
+        print(rec["exit"], rec["stdout_sha256"], err, " ".join(argv), flush=True)
 
 
 if __name__ == "__main__":

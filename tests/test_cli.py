@@ -311,15 +311,16 @@ def test_full_is_refused_where_csv_would_ignore_it(capsys, monkeypatch, tmp_path
 
 def _count_tables(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
     """Record (m, gens) for every Apery table built from generators: the
-    engine's table of n_1 in coset form, and every other whole table."""
+    engine's table of n_1 in coset form, and every whole table, which
+    ``apery_levels`` fills from the same coset form."""
     seen = []
-    for name in ("apery_cosets", "apery_levels"):
+    apery_cosets = _kernels.apery_cosets
 
-        def counted(m, gens, kernel=getattr(_kernels, name)):
-            seen.append((m, tuple(gens)))
-            return kernel(m, gens)
+    def counted(m, gens):
+        seen.append((m, tuple(gens)))
+        return apery_cosets(m, gens)
 
-        monkeypatch.setattr(_kernels, name, counted)
+    monkeypatch.setattr(_kernels, "apery_cosets", counted)
     return seen
 
 
@@ -554,6 +555,37 @@ def test_a_failing_verify_is_written_in_csv_as_in_json(capsys, monkeypatch):
     assert code == 1
     assert out == flat_rows(columns, [tuple(r[c] for c in columns) for r in records], "csv")
     assert out.endswith('\n1,triangular,4,false,"Betti mismatch: closed={42} free={105, 30}"\n')
+
+
+VERIFY_COLUMNS = ("schema", "family", "n", "pass", "detail")
+
+
+def _verify_outputs(capsys, argv: list[str]) -> dict[str, tuple[int, str, str]]:
+    """Exit code, stdout and stderr of ``argv`` in each format."""
+    outputs = {}
+    for fmt in ("json", "text", "csv"):
+        code = cli.main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        outputs[fmt] = (code, captured.out, captured.err)
+    return outputs
+
+
+def test_a_failing_verify_range_is_written_as_the_stdlib_writes_its_records(capsys, monkeypatch):
+    # n = 1, 2 are below full embedding dimension and pass; 3 and 4 fail
+    monkeypatch.setattr(figurate, "triangular_betti", lambda n: {42})
+    details = ["", "", "Betti mismatch: closed={42} free={30}", "Betti mismatch: closed={42} free={105, 30}"]
+    records = [
+        {"schema": "1", "family": "triangular", "n": n, "pass": not detail, "detail": detail}
+        for n, detail in enumerate(details, 1)
+    ]
+    lines = [f"n={r['n']} pass\n" if r["pass"] else f"n={r['n']} FAIL {r['detail']}\n" for r in records]
+    err = "first counterexample: n=3: Betti mismatch: closed={42} free={30}\n"
+    rows = [tuple(r[c] for c in VERIFY_COLUMNS) for r in records]
+    assert _verify_outputs(capsys, ["verify", "--family", "triangular", "--range", "1..4"]) == {
+        "json": (1, json.dumps(records, sort_keys=True, indent=2) + "\n", err),
+        "text": (1, "".join(lines) + "2/4 pass\n", err),
+        "csv": (1, flat_rows(VERIFY_COLUMNS, rows, "csv"), err),
+    }
 
 
 def test_verify_builds_no_apery_box(capsys, monkeypatch):
@@ -961,6 +993,19 @@ def test_a_telescopic_permutation_has_an_empty_failing_index_in_csv(capsys, monk
     assert (code, out) == (1, 'permutation,failing_index\n"[1, 2]",\n"[2, 1]",1\n')
     code, out = run(capsys, "verify", "--family", "choose5perms", "--format", "csv")
     assert (code, out) == (1, "schema,family,total,telescopic,pass\n1,choose5perms,2,1,false\n")
+
+
+def test_a_failing_choose5perms_verify_is_written_as_the_stdlib_writes_its_record(capsys, monkeypatch):
+    outcomes = (figurate.PermutationOutcome((1, 2), None), figurate.PermutationOutcome((2, 1), 1))
+    monkeypatch.setattr(figurate, "choose5_counterexample", lambda: figurate.PermutationReport((1, 2), outcomes))
+    record = {"schema": "1", "family": "choose5perms", "total": 2, "telescopic": 1, "pass": False}
+    columns, row = tuple(record), tuple(record.values())
+    err = "counterexample: some permutation is telescopic\n"
+    assert _verify_outputs(capsys, ["verify", "--family", "choose5perms"]) == {
+        "json": (1, json.dumps([record], sort_keys=True, indent=2) + "\n", err),
+        "text": (1, flat_rows(columns, [row], "text"), err),
+        "csv": (1, flat_rows(columns, [row], "csv"), err),
+    }
 
 
 def test_analyze_above_two_hundred_thousand_answers_from_tables(capsys):

@@ -180,6 +180,6 @@ def test_table_row_writer_matches_the_dict_writers(table):
     written = cli._Rows(columns, rows)
     as_json = cli._format_payload({"rows": written}, "json")
     assert as_json == cli._format_payload({"rows": dicts}, "json") == json.dumps({"rows": dicts}, sort_keys=True, indent=2) + "\n"
-    assert written.write("text") == "".join(map(cli._record_to_text, dicts))
+    assert written.write("text") == "".join(cli._format_payload(d, "text") for d in dicts)
     for fmt in ("json", "text", "csv"):
         assert written.write(fmt) == flat_rows(columns, rows, fmt)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from numsemi._kernels import BACKEND, pykernels
+from numsemi import _kernels
 from numsemi.core import NumericalSemigroup
 from numsemi.figurate import (
     tetrahedral_cstar,
@@ -31,15 +31,15 @@ from oracles import dfs_representations, dijkstra_apery, naive_apery, naive_genu
 
 
 def test_backend_constant():
-    assert BACKEND == "python"
+    assert _kernels.BACKEND == "python"
 
 
 def test_canonical_enumeration_order():
-    assert pykernels.factorizations_of(30, (6, 10, 15)) == [(5, 0, 0), (0, 3, 0), (0, 0, 2)]
-    assert pykernels.min_representation(30, (6, 10)) == (5, 0)
+    assert _kernels.factorizations_of(30, (6, 10, 15)) == [(5, 0, 0), (0, 3, 0), (0, 0, 2)]
+    assert _kernels.min_representation(30, (6, 10)) == (5, 0)
 
 
-DFS_KERNELS = (pykernels.min_representation, pykernels.is_representable, pykernels.factorizations_of)
+DFS_KERNELS = (_kernels.min_representation, _kernels.is_representable, _kernels.factorizations_of)
 
 
 def _raised(kernel, x, gens) -> tuple[type, str]:
@@ -59,11 +59,11 @@ def test_dfs_kernels_share_one_enumeration(x, gens, at, bad):
     gens = tuple(gens)
     # the DFS tries every coefficient of n_2..n_e: keep that space small
     assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
-    facts = pykernels.factorizations_of(x, gens)
+    facts = _kernels.factorizations_of(x, gens)
     assert facts == sorted(set(facts), key=lambda v: v[::-1])  # canonical order
     assert all(sum(c * g for c, g in zip(v, gens)) == x for v in facts)
-    assert pykernels.min_representation(x, gens) == next(iter(facts), None)
-    assert pykernels.is_representable(x, gens) == bool(facts)
+    assert _kernels.min_representation(x, gens) == next(iter(facts), None)
+    assert _kernels.is_representable(x, gens) == bool(facts)
     # the same refusal from each kernel; a negative x is only refused
     # for an empty generator list, so the other cases take x >= 0
     y, at = max(x, 0), min(at, len(gens))
@@ -119,14 +119,14 @@ def test_a_budgeted_walk_answers_within_its_budget_and_gives_up_past_it(x, gens,
     gens = tuple(gens)
     assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
     nodes = _nodes_to_first(x, gens)
-    witness = pykernels.min_representation(x, gens)
-    member = pykernels.is_representable(x, gens)
+    witness = _kernels.min_representation(x, gens)
+    member = _kernels.is_representable(x, gens)
     for budget in (nodes, nodes + slack):
-        assert pykernels.min_representation(x, gens, budget) == witness
-        assert pykernels.is_representable(x, gens, budget) is member
+        assert _kernels.min_representation(x, gens, budget) == witness
+        assert _kernels.is_representable(x, gens, budget) is member
     for budget in {max(nodes - 1 - slack, 0), nodes - 1} if nodes else ():
-        assert pykernels.min_representation(x, gens, budget) is None
-        assert pykernels.is_representable(x, gens, budget) is None
+        assert _kernels.min_representation(x, gens, budget) is None
+        assert _kernels.is_representable(x, gens, budget) is None
 
 
 @st.composite
@@ -170,9 +170,9 @@ def test_each_level_steps_through_one_coefficient_class_and_keeps_the_dfs_vector
     gens = tuple(gens)
     assume(math.prod(x // g + 1 for g in gens[1:]) <= 20_000)
     vectors = dfs_representations(x, gens)
-    assert pykernels.factorizations_of(x, gens) == vectors
-    assert pykernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
-    assert pykernels.is_representable(x, gens) is bool(vectors)
+    assert _kernels.factorizations_of(x, gens) == vectors
+    assert _kernels.min_representation(x, gens) == next(iter(dfs_representations(x, gens, first=True)), None)
+    assert _kernels.is_representable(x, gens) is bool(vectors)
 
 
 def test_the_dfs_leaves_no_garbage_for_the_cyclic_collector():
@@ -184,12 +184,12 @@ def test_the_dfs_leaves_no_garbage_for_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        assert pykernels.min_representation(1000, (7, 11, 13)) is not None
-        assert pykernels.is_representable(1000, (7, 11, 13)) is True
-        assert pykernels.is_representable(1000, (7, 11, 13), budget=2) is None
-        assert len(pykernels.factorizations_of(100, (3, 5, 7))) > 1
+        assert _kernels.min_representation(1000, (7, 11, 13)) is not None
+        assert _kernels.is_representable(1000, (7, 11, 13)) is True
+        assert _kernels.is_representable(1000, (7, 11, 13), budget=2) is None
+        assert len(_kernels.factorizations_of(100, (3, 5, 7))) > 1
         with pytest.raises(LookupError):
-            pykernels._walk(100, (3, 5, 7), stop)
+            _kernels._walk(100, (3, 5, 7), stop)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -200,9 +200,9 @@ def test_a_level_over_a_coprime_prefix_stops_after_one_failed_cycle():
     # 5e11 steps that all fail; 2000 is 2 * 1000, so one failed step ends it
     B = 10**15 + 1
     start = time.perf_counter()
-    assert pykernels.is_representable(B + 6, (1000, B, 2000)) is False
-    assert pykernels.factorizations_of(B + 6, (1000, B, 2000)) == []
-    assert pykernels.min_representation(3 * B + 4000, (1000, B, 2000)) == (4, 3, 0)
+    assert _kernels.is_representable(B + 6, (1000, B, 2000)) is False
+    assert _kernels.factorizations_of(B + 6, (1000, B, 2000)) == []
+    assert _kernels.min_representation(3 * B + 4000, (1000, B, 2000)) == (4, 3, 0)
     assert time.perf_counter() - start < 5
 
 
@@ -211,24 +211,39 @@ def test_a_lower_prefix_with_a_large_gcd_is_one_class_per_level():
     # about 2e9 and ran for minutes
     D = 10**10 + 1
     start = time.perf_counter()
-    assert pykernels.min_representation(5 * 10**9, (2 * D, 3 * D, 5)) == (0, 0, 10**9)
+    assert _kernels.min_representation(5 * 10**9, (2 * D, 3 * D, 5)) == (0, 0, 10**9)
     assert time.perf_counter() - start < 5
     start = time.perf_counter()
-    assert pykernels.is_representable(10**10 + 6, (2 * D, 3 * D, 5)) is False
+    assert _kernels.is_representable(10**10 + 6, (2 * D, 3 * D, 5)) is False
     assert time.perf_counter() - start < 5
 
 
 # The table filled, and its coset form: the errors of both are one contract.
-APERY_ENTRY_POINTS = (pykernels.apery_levels, pykernels.apery_cosets)
+APERY_ENTRY_POINTS = (_kernels.apery_levels, _kernels.apery_cosets)
 
 
 def _filled(m, gens):
-    return pykernels.fill_cosets(*pykernels.apery_cosets(m, gens))
+    return _kernels.fill_cosets(*_kernels.apery_cosets(m, gens))
 
 
 def test_apery_trivial_modulus():
-    assert pykernels.apery_levels(1, ()) == [0]
-    assert pykernels.apery_cosets(1, ()) == ([0], 1, 0)
+    assert _kernels.apery_levels(1, ()) == [0]
+    assert _kernels.apery_cosets(1, ()) == ([0], 1, 0)
+
+
+def test_apery_levels_builds_its_table_through_the_module_coset_kernel(monkeypatch):
+    # a patch of apery_cosets sees each whole table once, so counting
+    # tables needs no second patch on apery_levels
+    seen = []
+    apery_cosets = _kernels.apery_cosets
+
+    def counted(m, gens):
+        seen.append((m, tuple(gens)))
+        return apery_cosets(m, gens)
+
+    monkeypatch.setattr(_kernels, "apery_cosets", counted)
+    assert _kernels.apery_levels(10, (10, 12, 15)) == dijkstra_apery(10, (10, 12, 15))
+    assert seen == [(10, (10, 12, 15))]
 
 
 def test_apery_rejects_unreachable_residues():
@@ -264,9 +279,9 @@ def test_apery_overflow_guard():
         ):
             with pytest.raises(OverflowError, match=f"near residue {residue}$"):
                 kernel(m, gens)
-    assert pykernels.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
+    assert _kernels.apery_levels(2, (big - 3, big + 1)) == [0, big - 3]
     # the arc big - 3 reaches both residues: d = 1, the base is the table
-    assert pykernels.apery_cosets(2, (big - 3, big + 1)) == ([0, big - 3], 1, big + 1)
+    assert _kernels.apery_cosets(2, (big - 3, big + 1)) == ([0, big - 3], 1, big + 1)
 
 
 def test_apery_overflow_scan_boundary():
@@ -274,7 +289,7 @@ def test_apery_overflow_scan_boundary():
     # arc G still fits; with G + 1 the entry 48 * (G + 1) does not
     G = (2**63 - 1) // 49
     assert math.gcd(G, 49) == 1
-    table = pykernels.apery_levels(49, (G,))
+    table = _kernels.apery_levels(49, (G,))
     assert table == _filled(49, (G,)) == dijkstra_apery(49, (G,))
     assert max(table) == 48 * G == 2**63 - 1 - G
     for kernel in (*APERY_ENTRY_POINTS, dijkstra_apery):
@@ -291,7 +306,7 @@ def test_round_robin_matches_heap_dijkstra_on_verify_moduli():
     families += [(tetrahedral_generators(n), tetrahedral_cstar(n)) for n in [*range(4, 31), 79, 80]]
     for gens, form in families:
         for m in {gens[0], form.arrangement[0]}:
-            assert pykernels.apery_levels(m, gens) == dijkstra_apery(m, gens), (m, gens)
+            assert _kernels.apery_levels(m, gens) == dijkstra_apery(m, gens), (m, gens)
 
 
 @st.composite
@@ -330,7 +345,7 @@ def _outcome(kernel, m, gens):
 @example((4, (6, 10, 4)))
 def test_round_robin_matches_heap_dijkstra_as_the_reached_subgroup_grows(case):
     m, gens = case
-    assert _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
+    assert _outcome(_kernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
 
 
 @st.composite
@@ -359,9 +374,9 @@ def scaled_prefix(draw):
 def test_round_robin_keeps_the_cells_the_earlier_arcs_reach(case):
     m, gens, D = case
     expected = _outcome(dijkstra_apery, m, gens)
-    assert _outcome(pykernels.apery_levels, m, gens) == _outcome(_filled, m, gens) == expected
+    assert _outcome(_kernels.apery_levels, m, gens) == _outcome(_filled, m, gens) == expected
     if isinstance(expected, list):
-        base, d, g = pykernels.apery_cosets(m, gens)
+        base, d, g = _kernels.apery_cosets(m, gens)
         assert (d, g) == (D, max(gens))
         assert len(base) == m // D
         assert base == expected[::D]
@@ -372,7 +387,7 @@ def test_coset_form_allocates_only_the_reached_cells():
     gens = triangular_generators(4471)
     tracemalloc.start()
     try:
-        base, d, g = pykernels.apery_cosets(gens[0], gens)
+        base, d, g = _kernels.apery_cosets(gens[0], gens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,14 +413,14 @@ def coprime_lists(draw):
 def test_coset_form_answers_the_engine_queries_like_the_full_table(case):
     m, gens = case
     # the fill of the coset form is the table, errors included
-    assert _outcome(_filled, m, gens) == _outcome(pykernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
+    assert _outcome(_filled, m, gens) == _outcome(_kernels.apery_levels, m, gens) == _outcome(dijkstra_apery, m, gens)
     assume(math.gcd(m, *gens) == 1)
     S = NumericalSemigroup((m, *gens))
     n1 = S.multiplicity
     full = dijkstra_apery(n1, S.generators)
     f = max(full) - n1
     assume(f <= 3000)  # keep the sieve of naive_genus small
-    base, d, g = pykernels.apery_cosets(n1, S.generators)
+    base, d, g = _kernels.apery_cosets(n1, S.generators)
     assert len(base) * d == n1
     assert all(full[(i * d + j * g) % n1] == b + j * g for i, b in enumerate(base) for j in range(d))
     assert S.frobenius() == f
@@ -431,21 +446,21 @@ def test_round_robin_matches_naive_sweep():
             padded = gens + [m * rng.randint(1, 3), rng.choice(gens)]
             rng.shuffle(padded)
             expected = naive_apery(gens, m)
-            assert pykernels.apery_levels(m, gens) == expected, (m, gens)
-            assert pykernels.apery_levels(m, padded) == expected, (m, padded)
+            assert _kernels.apery_levels(m, gens) == expected, (m, gens)
+            assert _kernels.apery_levels(m, padded) == expected, (m, padded)
 
 
 def test_kernel_input_domain():
     with pytest.raises(ValueError):
-        pykernels.min_representation(5, (3, -2))
+        _kernels.min_representation(5, (3, -2))
     with pytest.raises(ValueError):
-        pykernels.apery_levels(5, (0, 3))
+        _kernels.apery_levels(5, (0, 3))
     with pytest.raises(OverflowError):
-        pykernels.min_representation(10, (2**64, 3))
+        _kernels.min_representation(10, (2**64, 3))
     with pytest.raises(OverflowError):
-        pykernels.factorizations_of(2**70, (2, 3))
+        _kernels.factorizations_of(2**70, (2, 3))
     # An empty generator list is refused before x is looked at.
     for x in (5, 0, -1, 2**70):
-        for kernel in (pykernels.min_representation, pykernels.is_representable, pykernels.factorizations_of):
+        for kernel in (_kernels.min_representation, _kernels.is_representable, _kernels.factorizations_of):
             with pytest.raises(ValueError, match="generators must be non-empty"):
                 kernel(x, ())
