@@ -18,7 +18,7 @@ import heapq
 import io
 import json
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mod, sub
@@ -42,8 +42,6 @@ def _parse_gens(text: str) -> tuple[int, ...]:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"generator list must be comma-separated integers, got {text!r}") from None
-    if not entries:
-        raise ValueError("generator list is empty")
     if any(g < 1 for g in entries):
         raise ValueError("generators must be positive")
     if len(set(entries)) != len(entries):
@@ -88,60 +86,42 @@ def _text_lines(mapping: dict, prefix: str) -> list[str]:
     for key, value in mapping.items():
         if isinstance(value, dict):
             lines += _text_lines(value, f"{prefix}{key}.")
-        elif type(value) is _BoxLevels:
-            lines.append(f"{prefix}{key}: [{value.write(b', ')}]\n")
         else:
             lines.append(f"{prefix}{key}: {_scalar(value)}\n")
     return lines
 
 
 def _scalar(value: object) -> str:
-    """A text field: a list or tuple as ``[a, b]``, a bool as
-    ``true``/``false``.  A list that passes the JSON writer's check is its
-    ``repr``; any other is written item by item."""
+    """A text field: a list, tuple or ``_IntRuns`` as ``[a, b]``, a bool
+    as ``true``/``false``."""
     if isinstance(value, (list, tuple)):
-        return _int_list_repr(value) or "[" + ", ".join(_scalar(v) for v in value) + "]"
+        return "[" + ", ".join(map(_scalar, value)) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, _IntRuns):
+        return "[" + value.write(b", ") + "]"
     return str(value)
 
 
-class _BoxLevels:
-    """The elements of a full c* box as a record holds them: the levels of
-    ``telescopic.box_levels``, which made the box's checks when it was
-    called.  The JSON and text writers each write it once."""
+class _IntRuns:
+    """A non-empty list of plain ints as a record holds an Apery set's
+    elements: runs, tuples of ints whose concatenation is the list, such
+    as the levels of a c* box or one sorted generic set.  The JSON and
+    text writers each write it once."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("runs",)
 
-    def __init__(self, levels: Iterator[tuple[int, tuple[int, ...]]]) -> None:
-        self.levels = levels
+    def __init__(self, runs: Iterable[tuple[int, ...]]) -> None:
+        self.runs = runs
 
     def write(self, sep: bytes) -> str:
-        """The elements in decimal, joined by ``sep``: one %-format per
-        level into one buffer, decoded once.  The ints come from the sweep,
-        so no item needs the check of ``_int_list_repr``."""
+        """The ints in decimal, joined by ``sep``: one %-format per run
+        into one buffer, decoded once."""
         buf = bytearray()
-        for top, offsets in self.levels:
-            buf += (b"%d" + sep) * len(offsets) % tuple(map(sub, repeat(top), offsets))
+        for run in self.runs:
+            buf += (b"%d" + sep) * len(run) % run
         del buf[-len(sep) :]
         return buf.decode("ascii")
-
-
-_INT_LIST_CHARS = b"0123456789-, "  # a plain-int list's repr between its brackets
-
-
-def _int_list_repr(value: list | tuple) -> str | None:
-    """``repr(list(value))`` when it starts with a plain int and every item
-    is written as ``int.__repr__`` writes it, else None.  The first item
-    spares a list of records its repr; then one pass in C deletes the
-    digits, signs and ``", "`` separators, which must leave ``[]``: a bool,
-    str, None, container or int subclass with its own repr leaves more."""
-    if not value or type(value[0]) is not int:
-        return None
-    text = repr(value if type(value) is list else list(value))
-    if text.isascii() and text.encode().translate(None, _INT_LIST_CHARS) == b"[]":
-        return text
-    return None
 
 
 class _Rows:
@@ -269,11 +249,10 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
     to ``parts``, for str-keyed records; ``_format_payload`` joins them
     once, so no nesting level copies its children's text.  With ``indent``
     set, ``json.dumps`` runs its pure-Python encoder, one generator step per
-    list element; here a list that passes ``_int_list_repr``, such as a full
-    generic Apery set, is one ``repr`` with its separators replaced, a full
-    c* box is written by its levels (``_BoxLevels``), and table rows by
-    their templates (``_Rows``).  Each kind of value has one branch, and a
-    dict writes its values through the same branches."""
+    list element; here a full Apery set is written by its runs
+    (``_IntRuns``) and table rows by their templates (``_Rows``).  Each
+    kind of value has one branch, and a dict and a list write their items
+    through the same branches."""
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, bool):
@@ -290,18 +269,13 @@ def _json(value: object, parts: list[str], pad: str = "") -> None:
         parts.append("\n" + pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner = pad + "  "
-        sep = ",\n" + inner
-        text = _int_list_repr(value)
-        if text is not None:
-            parts += ("[\n" + inner, text[1:-1].replace(", ", sep))
-        else:
-            lead = "[\n" + inner
-            for item in value:
-                parts.append(lead)
-                _json(item, parts, inner)
-                lead = sep
+        lead = "[\n" + inner
+        for item in value:
+            parts.append(lead)
+            _json(item, parts, inner)
+            lead = ",\n" + inner
         parts.append("\n" + pad + "]" if value else "[]")
-    elif isinstance(value, _BoxLevels):
+    elif isinstance(value, _IntRuns):
         inner = pad + "  "
         parts += ("[\n" + inner, value.write((",\n" + inner).encode()), "\n" + pad + "]")
     elif isinstance(value, _Rows):
@@ -342,22 +316,30 @@ def _refuse_options(args: argparse.Namespace, context: str, *dests: str) -> None
             raise ValueError(f"--{dest} does not apply to {context}")
 
 
+def _write_record(args: argparse.Namespace, record: dict, columns: Sequence[str], rows: Callable[[], list]) -> None:
+    """The one output path of ``frobenius``, ``analyze`` and ``perms``:
+    under ``--format csv`` the rows ``rows()`` builds, under ``columns``,
+    else ``record`` as JSON or text; written to ``--out`` or stdout."""
+    if args.format == "csv":
+        payload = _Rows(columns, rows()).write("csv")
+    else:
+        payload = _format_payload(record, args.format)
+    _emit(payload, args.out)
+
+
 # ---------------------------------------------------------------------------
 # frobenius
 
 
-def _frobenius_methods(args: argparse.Namespace) -> tuple[dict, dict[str, int]]:
-    """Build the input descriptor and the per-method Frobenius values."""
+def cmd_frobenius(args: argparse.Namespace) -> int:
     methods: dict[str, int] = {}
     if args.gens is not None:
         gens = _parse_gens(args.gens)
         descriptor = {"kind": "gens", "generators": list(gens)}
         if len(gens) >= 2:
             methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-            primary = "reduction"
         else:
             methods["oracle"] = core.frobenius_oracle(gens)
-            primary = "oracle"
     elif args.triangular is not None or args.tetrahedral is not None:
         kind = "triangular" if args.triangular is not None else "tetrahedral"
         n = getattr(args, kind)
@@ -369,45 +351,33 @@ def _frobenius_methods(args: argparse.Namespace) -> tuple[dict, dict[str, int]]:
             if kind == "triangular":
                 methods["cubic-form"] = figurate.baker_a(n)
             methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-        primary = "closed-form"
     elif args.arith is not None:
         n, k = _parse_pair(args.arith)
         gens = figurate.arithmetic_generators(n, k)
         descriptor = {"kind": "arith", "n": n, "k": k, "generators": list(gens)}
         methods["closed-form"] = figurate.brauer_arithmetic_frobenius(n, k)
-        primary = "closed-form"
     else:
         n = args.choose4
         gens = figurate.choose4_generators(n)
         descriptor = {"kind": "choose4", "n": n, "generators": list(gens)}
         methods["reduction"] = telescopic.brauer_shockley_frobenius(gens)
-        primary = "reduction"
+    primary = descriptor["primary"] = next(iter(methods))  # each branch's first method
     if args.cross_check:
         # every branch's last method, so errors keep their order
         methods["oracle"] = core.frobenius_oracle(gens)
-    descriptor["primary"] = primary
-    return descriptor, methods
-
-
-def cmd_frobenius(args: argparse.Namespace) -> int:
-    descriptor, methods = _frobenius_methods(args)
-    values = set(methods.values())
     record = {
         "schema": SCHEMA_VERSION,
         "input": descriptor,
-        "frobenius": methods[descriptor["primary"]],
-        "provenance": descriptor["primary"],
-        "methods": {k: v for k, v in sorted(methods.items())},
+        "frobenius": methods[primary],
+        "provenance": primary,
+        "methods": dict(sorted(methods.items())),
     }
     if len(methods) > 1:
-        record["agreement"] = len(values) == 1
-    if args.format == "csv":
-        row = (descriptor["kind"], descriptor["generators"], record["frobenius"], record["provenance"])
-        payload = _Rows(("input", "generators", "frobenius", "provenance"), [row]).write("csv")
-    else:
-        payload = _format_payload(record, args.format)
-    _emit(payload, args.out)
-    if len(methods) > 1 and len(values) != 1:
+        record["agreement"] = len(set(methods.values())) == 1
+    _write_record(args, record, ("input", "generators", "frobenius", "provenance"), lambda: [
+        (descriptor["kind"], gens, record["frobenius"], primary)
+    ])
+    if not record.get("agreement", True):  # the methods in the order they ran
         print(f"method disagreement: {methods}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
@@ -424,7 +394,7 @@ def _apery_summary(anchor: int, elements: core.AperySet | list[int], full: bool)
     the rest.  ``_box_summary`` writes the same record for a c* box
     without listing it."""
     whole = full or len(elements) <= 6
-    listed = sorted(elements) if whole else None
+    listed = tuple(sorted(elements)) if whole else None
     largest = listed or heapq.nlargest(3, elements)[::-1]
     summary: dict = {
         "anchor": anchor,
@@ -433,7 +403,7 @@ def _apery_summary(anchor: int, elements: core.AperySet | list[int], full: bool)
         "frobenius_from_apery": largest[-1] - anchor,
     }
     if whole:
-        summary["elements"] = listed
+        summary["elements"] = _IntRuns((listed,))
     else:
         summary["smallest"] = heapq.nsmallest(3, elements)
         summary["largest"] = largest
@@ -444,16 +414,17 @@ def _box_summary(arrangement: tuple[int, ...], cstars: tuple[int, ...], full: bo
     """``_apery_summary`` of the c* box ``telescopic.box_levels(arrangement,
     cstars)``, which makes the box's checks here, before any output.  The
     size is the anchor and the maximum is top = sum (c*_j - 1) n_j.  With
-    ``full``, or at most 6 of them, the elements are the box's levels,
-    written whole by the JSON and text writers.  Else the three smallest
-    are drawn from the lazy sweep; the map lam_j -> c*_j - 1 - lam_j takes
-    the box onto top - box, so the three largest are top minus those,
-    reversed."""
+    ``full``, or at most 6 of them, the elements are the box's levels as
+    runs, each level's top minus its offsets, written whole by the JSON
+    and text writers.  Else the three smallest are drawn from the lazy
+    sweep; the map lam_j -> c*_j - 1 - lam_j takes the box onto
+    top - box, so the three largest are top minus those, reversed."""
     anchor = arrangement[0]
     top = sum((c - 1) * n for c, n in zip(cstars, arrangement[1:]))
     summary: dict = {"anchor": anchor, "size": anchor, "max": top, "frobenius_from_apery": top - anchor}
     if full or anchor <= 6:
-        summary["elements"] = _BoxLevels(telescopic.box_levels(arrangement, cstars))
+        levels = telescopic.box_levels(arrangement, cstars)
+        summary["elements"] = _IntRuns(tuple(map(sub, repeat(peak), offsets)) for peak, offsets in levels)
     else:
         smallest = list(islice(telescopic.box_elements(arrangement, cstars), 3))
         summary["smallest"] = smallest
@@ -564,13 +535,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         kind = "triangular" if args.triangular is not None else "tetrahedral"
         record = _analyze_family(kind, getattr(args, kind), args)
-    if args.format == "csv":
-        row = (record["input"]["generators"], record["frobenius"], record.get("free", ""), record["betti"])
-        payload = _Rows(("generators", "frobenius", "free", "betti"), [row]).write("csv")
-    else:
-        payload = _format_payload(record, args.format)
-    _emit(payload, args.out)
-    if not record.get("agreement", True):
+    _write_record(args, record, ("generators", "frobenius", "free", "betti"), lambda: [
+        (record["input"]["generators"], record["frobenius"], record.get("free", ""), record["betti"])
+    ])
+    if not record["agreement"]:
         print(f"method disagreement: {record['methods']}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
@@ -780,119 +748,87 @@ def cmd_perms(args: argparse.Namespace) -> int:
             {"permutation": list(o.permutation), "failing_index": o.failing_index}
             for o in report.outcomes
         ]
-    if args.format == "csv":
-        # a telescopic permutation has no failing index: an empty field
-        rows = [(o.permutation, "" if o.failing_index is None else o.failing_index) for o in report.outcomes]
-        payload = _Rows(("permutation", "failing_index"), rows).write("csv")
-    else:
-        payload = _format_payload(record, args.format)
-    _emit(payload, args.out)
-    return EXIT_OK if report.telescopic_count == 0 else EXIT_COUNTEREXAMPLE
+    # a telescopic permutation has no failing index: an empty field
+    _write_record(args, record, ("permutation", "failing_index"), lambda: [
+        (o.permutation, "" if o.failing_index is None else o.failing_index) for o in report.outcomes
+    ])
+    return EXIT_OK if record["pass"] else EXIT_COUNTEREXAMPLE
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="numsemi", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_frob = sub.add_parser("frobenius", help="Frobenius number of a generator family or list")
-    group = p_frob.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gens", help="comma-separated generators, order preserved")
-    group.add_argument("--triangular", type=int, metavar="N")
-    group.add_argument("--tetrahedral", type=int, metavar="N")
-    group.add_argument("--arith", metavar="N,K", help="consecutive run n..n+k-1")
-    group.add_argument("--choose4", type=int, metavar="N")
-    p_frob.add_argument("--cross-check", action="store_true", help="run all applicable methods")
-    _add_common(p_frob)
-    p_frob.set_defaults(func=cmd_frobenius)
-
-    p_an = sub.add_parser("analyze", help="structure report: generators, c*, freeness, Betti, Apery")
-    group = p_an.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gens")
-    group.add_argument("--triangular", type=int, metavar="N")
-    group.add_argument("--tetrahedral", type=int, metavar="N")
-    p_an.add_argument("--full", action="store_true", help="dump all Apery elements")
-    p_an.add_argument("--betti-bound", type=int, default=None, help="report only Betti elements up to this value")
-    _add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_ver = sub.add_parser("verify", help="cross-check closed forms against oracles over a range")
-    p_ver.add_argument(
-        "--family",
-        required=True,
-        choices=("triangular", "tetrahedral", "choose4", "choose5perms", "arith"),
+    """The ``numsemi`` parser.  Each sub-command is declared once: its
+    handler, its help, the inputs of its required exclusive group and its
+    other options, each an option string with its ``add_argument``
+    keywords.  From the actions ``add_argument`` returns, ``reads`` records
+    per sub-command the table ``_read_argv`` reads: the option strings of
+    the actions that store one value or a flag, the required actions, the
+    group's actions, and the namespace of an argv that gives no option."""
+    n = {"type": int, "metavar": "N"}
+    families = {"--triangular": n, "--tetrahedral": n}
+    span = {"metavar": "A..B"}
+    flag = {"action": "store_true"}
+    grammar = (
+        ("frobenius", cmd_frobenius, "Frobenius number of a generator family or list",
+         {"--gens": {"help": "comma-separated generators, order preserved"}, **families,
+          "--arith": {"metavar": "N,K", "help": "consecutive run n..n+k-1"}, "--choose4": n},
+         {"--cross-check": {**flag, "help": "run all applicable methods"}}),
+        ("analyze", cmd_analyze, "structure report: generators, c*, freeness, Betti, Apery",
+         {"--gens": {}, **families},
+         {"--full": {**flag, "help": "dump all Apery elements"},
+          "--betti-bound": {"type": int, "help": "report only Betti elements up to this value"}}),
+        ("verify", cmd_verify, "cross-check closed forms against oracles over a range", {},
+         {"--family": {"required": True, "choices": ("triangular", "tetrahedral", "choose4", "choose5perms", "arith")},
+          "--range": span}),
+        ("table", cmd_table, "one row per index: generators, Frobenius, c*, Betti", {},
+         {"--family": {"required": True, "choices": ("triangular", "tetrahedral", "choose4", "arith")},
+          "--range": span, "--n": {"type": int, "help": "run start (family arith)"},
+          "--k": {**span, "help": "run length range (family arith)"}}),
+        ("perms", cmd_perms, "telescopic sweep over all permutations of the C(.,5) six-tuple", {},
+         {"--full": {**flag, "help": "list every permutation outcome"}}),
     )
-    p_ver.add_argument("--range", default=None, metavar="A..B")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_tab = sub.add_parser("table", help="one row per index: generators, Frobenius, c*, Betti")
-    p_tab.add_argument("--family", required=True, choices=("triangular", "tetrahedral", "choose4", "arith"))
-    p_tab.add_argument("--range", default=None, metavar="A..B")
-    p_tab.add_argument("--n", type=int, default=None, help="run start (family arith)")
-    p_tab.add_argument("--k", default=None, metavar="A..B", help="run length range (family arith)")
-    _add_common(p_tab)
-    p_tab.set_defaults(func=cmd_table)
-
-    p_perm = sub.add_parser("perms", help="telescopic sweep over all permutations of the C(.,5) six-tuple")
-    p_perm.add_argument("--full", action="store_true", help="list every permutation outcome")
-    _add_common(p_perm)
-    p_perm.set_defaults(func=cmd_perms)
-
+    common = {
+        "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+        "--out": {"help": "write output to PATH instead of stdout"},
+    }
+    parser = argparse.ArgumentParser(prog="numsemi", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    parser.reads = {}
+    for name, func, summary, inputs, options in grammar:
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(func=func)
+        group = sub.add_mutually_exclusive_group(required=True) if inputs else None
+        members = [group.add_argument(option, **kw) for option, kw in inputs.items()]
+        actions = members + [sub.add_argument(option, **kw) for option, kw in {**options, **common}.items()]
+        parser.reads[name] = (
+            {option: a for a in actions if a.nargs in (None, 0) for option in a.option_strings},
+            [a for a in actions if a.required],
+            members,
+            {"command": name, "func": func, **{a.dest: a.default for a in actions}},
+        )
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call,
-    with the table ``_read_argv`` reads from as its ``reads``."""
-    parser = build_parser()
-    parser.reads = _read_table(parser)
-    return parser
-
-
-def _read_table(parser: argparse.ArgumentParser) -> dict[str, tuple]:
-    """Per sub-command, from its own actions: the option strings that
-    store one value or ``True``, the required actions, the exclusive
-    groups, and the namespace of an argv that gives no option: the
-    command, the ``set_defaults`` and the actions' defaults over them."""
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in commands.choices.items():
-        options = {
-            option: action
-            for action in sub._actions
-            if type(action) is argparse._StoreTrueAction
-            or (type(action) is argparse._StoreAction and action.nargs is None)
-            for option in action.option_strings
-        }
-        required = [a for a in sub._actions if a.required]
-        groups = [(g.required, g._group_actions) for g in sub._mutually_exclusive_groups]
-        defaults = {a.dest: a.default for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)}
-        start = {commands.dest: name, **sub._defaults, **defaults}
-        table[name] = (options, required, groups, start)
-    return table
+    """The one parser of this process, built on the first ``main`` call."""
+    return build_parser()
 
 
 def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
     """``_parser().parse_args(argv)`` for an argv that is a sub-command and
     its exact option strings, each given once, each store option with one
     value not starting with ``-`` that its type and choices accept, with
-    every required option and group present and no group given twice.
+    every required option present and one input of the exclusive group.
     None for any other argv: argparse reads it, and prints every help,
     usage and error text."""
     read = _parser().reads.get(argv[0]) if argv else None
     if read is None:
         return None
-    options, required, groups, start = read
+    options, required, group, start = read
     given: dict[argparse.Action, object] = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -915,10 +851,8 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
         given[action] = value
     if any(a not in given for a in required):
         return None
-    for group_required, members in groups:
-        count = sum(a in given for a in members)
-        if count > 1 or (group_required and count == 0):
-            return None
+    if group and sum(a in given for a in group) != 1:
+        return None
     args = argparse.Namespace(**start)
     for action, value in given.items():
         setattr(args, action.dest, value)

@@ -664,6 +664,11 @@ def test_analyze_full_past_the_materialize_limit_refuses_before_any_output(capsy
         assert not out.exists()
 
 
+def written(elements) -> list[int]:
+    """The ints an Apery summary's elements are written as."""
+    return json.loads("[" + elements.write(b",") + "]")
+
+
 def test_brief_apery_summaries_read_the_ends_without_a_sort(monkeypatch):
     # Ap(<7, 10, 12>, 7) filed by residue: the three smallest and largest
     # come by heapq; only a set of at most 6, or --full, is sorted whole
@@ -680,15 +685,17 @@ def test_brief_apery_summaries_read_the_ends_without_a_sort(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(cli, "sorted", lambda *args: pytest.fail("sorted"), raising=False)
         assert cli._apery_summary(7, ap, False) == expected
-    assert cli._apery_summary(7, ap, True)["elements"] == listed
+    # a whole set is held as one run of the int-run writer
+    assert written(cli._apery_summary(7, ap, True)["elements"]) == listed
     small = core.NumericalSemigroup((5, 7, 9)).apery()
-    assert cli._apery_summary(5, small, False)["elements"] == sorted(small) == [0, 7, 9, 16, 18]
+    assert written(cli._apery_summary(5, small, False)["elements"]) == sorted(small) == [0, 7, 9, 16, 18]
 
 
 @pytest.mark.parametrize("kind", ["triangular", "tetrahedral"])
 def test_full_box_writer_gives_the_bytes_of_the_listed_box(kind):
     # every n below 90 at full embedding dimension: the levels written into
-    # one buffer against the listed box through json.dumps and _scalar
+    # one buffer against a plain list of the box through json.dumps and
+    # _scalar, and against the same elements written as one sorted run
     forms = cli._closed_forms(kind)
     anchors, reversed_residues = [], set()
     for n in range(1, 90):
@@ -701,16 +708,18 @@ def test_full_box_writer_gives_the_bytes_of_the_listed_box(kind):
         if anchor == max(gens):
             reversed_residues.add(n % 6)
         elements = list(telescopic.box_elements(form.arrangement, form.cstars))
-        listed = {"apery": cli._apery_summary(anchor, elements, True)}
-        assert listed["apery"]["elements"] == elements
-        # a record holds the levels, written once by one writer
-        record = {"apery": cli._box_summary(form.arrangement, form.cstars, True)}
-        assert type(record["apery"]["elements"]) is cli._BoxLevels
-        assert cli._format_payload(record, "json") == json.dumps(listed, sort_keys=True, indent=2) + "\n"
-        record = {"apery": cli._box_summary(form.arrangement, form.cstars, True)}
-        text = cli._format_payload(record, "text")
+        top = elements[-1]
+        summary = {"anchor": anchor, "size": len(elements), "max": top, "frobenius_from_apery": top - anchor}
+        listed = {"apery": {**summary, "elements": elements}}
+        text = cli._format_payload(listed, "text")
         assert text.endswith(f"\napery.elements: {cli._scalar(elements)}\n")
-        assert text == cli._format_payload(listed, "text")
+        for fmt, expected in (("json", json.dumps(listed, sort_keys=True, indent=2) + "\n"), ("text", text)):
+            # a record holds the levels as runs, written once by one writer
+            record = {"apery": cli._box_summary(form.arrangement, form.cstars, True)}
+            assert type(record["apery"]["elements"]) is cli._IntRuns
+            assert cli._format_payload(record, fmt) == expected
+            generic = {"apery": cli._apery_summary(anchor, elements[::-1], True)}
+            assert cli._format_payload(generic, fmt) == expected
     # anchors up to 6, which a brief summary lists whole, and the reversed
     # tetrahedral members, whose anchor TH_{n+3} is the largest generator
     assert min(anchors) <= 6 if kind == "triangular" else reversed_residues == {4, 5}
@@ -1041,16 +1050,17 @@ def test_module_entry_point_exit_codes():
 
 
 def test_cli_reads_no_private_name_of_another_module():
-    # the CLI goes through each layer's public entries only
+    # the CLI goes through each layer's public entries only, and argparse's
+    # too: the read table comes from the actions build_parser declares, so
+    # no attribute read names a private (non-dunder) member
     layers = {"core", "telescopic", "figurate", "arith"}
     tree = ast.parse(Path(cli.__file__).read_text())
     private = [
-        f"{node.value.id}.{node.attr}"
+        f"{ast.unparse(node.value)}.{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in layers
         and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
     ]
     private += [
         f"{node.module}.{alias.name}"
@@ -1061,3 +1071,52 @@ def test_cli_reads_no_private_name_of_another_module():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_frobenius_disagreement_lists_the_methods_in_the_order_they_ran(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(figurate, "frobenius_triangular", lambda n: 0)
+    code = cli.main(["frobenius", "--triangular", "5", "--cross-check", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "method disagreement: {'closed-form': 0, 'cubic-form': 125, 'reduction': 125, 'oracle': 125}\n"
+    )
+    if fmt == "json":
+        assert json.loads(captured.out)["agreement"] is False
+    elif fmt == "text":
+        assert "\nagreement: false\n" in captured.out
+    else:
+        assert captured.out == 'input,generators,frobenius,provenance\ntriangular,"[15, 21, 28]",0,closed-form\n'
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_analyze_disagreement_lists_the_methods_sorted(capsys, monkeypatch, fmt):
+    reduction = telescopic.brauer_shockley_frobenius
+    monkeypatch.setattr(telescopic, "brauer_shockley_frobenius", lambda gens, **kw: reduction(gens, **kw) + 1)
+    code = cli.main(["analyze", "--gens", "6,10,15", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "method disagreement: {'free-form': 29, 'oracle': 29, 'reduction': 30}\n"
+    if fmt == "json":
+        assert json.loads(captured.out)["agreement"] is False
+    elif fmt == "text":
+        assert "\nagreement: false\n" in captured.out
+    else:
+        assert captured.out == 'generators,frobenius,free,betti\n"[6, 10, 15]",29,true,[30]\n'
+
+
+REFUSED_INPUTS = {
+    ("frobenius", "--gens", ""): "generator list must be comma-separated integers, got ''",
+    ("frobenius", "--gens", "0,5"): "generators must be positive",
+    ("verify", "--family", "triangular", "--range", "5"): "range must look like a..b, got '5'",
+    ("verify", "--family", "triangular", "--range", "a..b"): "range endpoints must be integers, got 'a..b'",
+    ("table", "--family", "triangular"): "--range a..b is required for this family",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_INPUTS), ids=" ".join)
+def test_an_input_the_parsers_refuse_exits_2_with_no_output(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {REFUSED_INPUTS[argv]}\n")

@@ -577,3 +577,20 @@ def test_huge_generators_answer_membership_but_refuse_materialization():
         S.frobenius()
     with pytest.raises(ValueError, match="desk-scale"):
         S.apery()
+
+
+def test_evaluate_refuses_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="vector length does not match generator count"):
+        core.evaluate((1,), (2, 3))
+
+
+def test_semigroups_are_equal_by_their_minimal_generators():
+    S = NumericalSemigroup((6, 10, 15))
+    T = NumericalSemigroup((15, 10, 6, 30))
+    assert S == T and hash(S) == hash(T)
+    assert S != (6, 10, 15)
+
+
+def test_apery_refuses_an_anchor_below_one():
+    with pytest.raises(ValueError, match="Apery anchor must be >= 1, got 0"):
+        NumericalSemigroup((3, 5)).apery(0)

@@ -464,3 +464,12 @@ def test_kernel_input_domain():
         for kernel in (_kernels.min_representation, _kernels.is_representable, _kernels.factorizations_of):
             with pytest.raises(ValueError, match="generators must be non-empty"):
                 kernel(x, ())
+
+
+def test_apery_cosets_refuses_a_modulus_below_one_and_entries_past_64_bits():
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        _kernels.apery_cosets(0, (3,))
+    with pytest.raises(OverflowError, match="modulus too large for the 64-bit kernel domain"):
+        _kernels.apery_cosets(2**63, (3,))
+    with pytest.raises(OverflowError, match="generator too large for the 64-bit kernel domain"):
+        _kernels.apery_cosets(5, (3, 2**63))

@@ -680,3 +680,8 @@ def test_arranged_minimal_keeps_each_generator_at_its_last_occurrence():
 
 def test_brauer_shockley_handles_generator_one():
     assert brauer_shockley_frobenius((1, 7)) == -1
+
+
+def test_cstar_constants_refuse_a_repeated_entry():
+    with pytest.raises(ValueError, match=r"arrangement is not a minimal generating set \(repeated entry\)"):
+        telescopic.cstar_constants((6, 10, 10, 15))
